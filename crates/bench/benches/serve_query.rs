@@ -122,10 +122,7 @@ fn serve_queries(
     rerank: bool,
 ) -> Vec<Vec<(u64, f32)>> {
     let clock = VirtualClock::new();
-    let mut coalescer = EncodeCoalescer::new(CoalescerConfig {
-        max_batch: batch,
-        max_wait: 1,
-    });
+    let mut coalescer = EncodeCoalescer::new(CoalescerConfig { max_batch: batch });
     let tickets: Vec<_> = queries
         .iter()
         .map(|g| coalescer.submit(model, g.clone(), &clock))

@@ -75,10 +75,7 @@ fn main() {
     };
     let mut scfg = ServerConfig {
         scan_workers: 2,
-        coalescer: CoalescerConfig {
-            max_batch: 4,
-            ..Default::default()
-        },
+        coalescer: CoalescerConfig { max_batch: 4 },
         index: icfg,
         ..Default::default()
     };
@@ -94,9 +91,8 @@ fn main() {
         Arc::new(VirtualClock::new()),
         rec.wal,
     );
-    // submit the whole half up front: the coalescer flushes on full
-    // batches (waiting per-insert under a VirtualClock would never fill
-    // one), and every handle resolving proves every op was WAL-acked
+    // submit the whole half up front so batches can form behind the first
+    // forward; every handle resolving proves every op was WAL-acked
     let handles: Vec<_> = pool
         .iter()
         .take(POOL / 2)

@@ -2,12 +2,17 @@
 //!
 //! Simulates request arrivals at a range of rates (requests per tick,
 //! deterministic fractional accumulator — no RNG, so every run is
-//! identical), drives an [`EncodeCoalescer`] with `max_batch = 8` /
-//! `max_wait = 4`, and reports per rate:
+//! identical) into a model of the server's encode worker: a request channel
+//! in front of an [`EncodeCoalescer`] with `max_batch = 8`, and a worker
+//! that is busy for `FORWARD_TICKS` virtual ticks per batched forward. The
+//! policy is the server's, work-conserving: a free worker drains the
+//! channel, flushes full at `max_batch`, and flushes whatever is left the
+//! moment the channel is empty — batches form only from what arrived while
+//! the previous forward was in flight. Reports per rate:
 //!
-//! * mean batch fill (graphs per batched forward) and the full/timer flush
-//!   split — how well coalescing converts arrival pressure into batch
-//!   efficiency;
+//! * mean batch fill (graphs per batched forward) and the full/idle flush
+//!   split — fill tracks the arrival rate (≈ rate × forward ticks, capped
+//!   at `max_batch`) with no deadline holding lone requests back;
 //! * heap allocations per encoded graph over successive simulation
 //!   windows, counted by a wrapping global allocator — flat across windows
 //!   means the steady state recycles buffers (the `gbm-tensor` scratch
@@ -25,10 +30,11 @@
 //! way the `BENCH_*.json` baselines are.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use gbm_nn::{GraphBinMatch, GraphBinMatchConfig};
-use gbm_serve::{CoalescerConfig, EncodeCoalescer, VirtualClock};
+use gbm_serve::{Clock, CoalescerConfig, EncodeCoalescer, FlushTrigger, VirtualClock};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -52,7 +58,8 @@ unsafe impl GlobalAlloc for CountingAlloc {
 static ALLOCATOR: CountingAlloc = CountingAlloc;
 
 const MAX_BATCH: usize = 8;
-const MAX_WAIT: u64 = 4;
+/// Virtual ticks the modelled worker is busy per batched forward.
+const FORWARD_TICKS: u64 = 4;
 const TICKS: u64 = 400;
 const WINDOWS: usize = 4;
 
@@ -63,7 +70,7 @@ struct RateRecord {
     requests: usize,
     flushes: usize,
     full_flushes: usize,
-    timer_flushes: usize,
+    idle_flushes: usize,
     mean_fill: f64,
     allocs_per_graph: Vec<f64>,
 }
@@ -81,12 +88,12 @@ fn main() {
     if !json {
         println!("=== coalescer under load (virtual clock) ===");
         println!(
-            "max_batch={MAX_BATCH} max_wait={MAX_WAIT} ticks={TICKS}; \
+            "max_batch={MAX_BATCH} forward_ticks={FORWARD_TICKS} ticks={TICKS}; \
              allocs/graph over {WINDOWS} equal windows (flat = steady state)"
         );
         println!(
             "{:>9} {:>9} {:>8} {:>6} {:>6} {:>10}  allocs/graph per window",
-            "rate", "requests", "flushes", "full", "timer", "mean fill"
+            "rate", "requests", "flushes", "full", "idle", "mean fill"
         );
         println!("{}", "-".repeat(88));
     }
@@ -95,27 +102,46 @@ fn main() {
         let clock = VirtualClock::new();
         let mut co = EncodeCoalescer::new(CoalescerConfig {
             max_batch: MAX_BATCH,
-            max_wait: MAX_WAIT,
         });
+        // the server's request channel: arrivals wait here while the worker
+        // is inside a forward
+        let mut channel = VecDeque::new();
+        let mut busy_until = 0u64;
         let mut acc = 0.0f64;
         let mut submitted = 0usize;
         let mut window_allocs: Vec<f64> = Vec::new();
         let mut window_start_allocs = ALLOCS.load(Ordering::Relaxed);
         let mut window_start_encoded = 0usize;
-        let mut tickets = Vec::new();
         for tick in 0..TICKS {
             // deterministic arrivals: `rate` requests per tick on average
             acc += rate;
             while acc >= 1.0 {
                 acc -= 1.0;
-                let g = requests[submitted % requests.len()].clone();
-                tickets.push(co.submit(&model, g, &clock));
+                channel.push_back((requests[submitted % requests.len()].clone(), clock.now()));
                 submitted += 1;
             }
-            co.pump(&model, &clock);
+            if clock.now() >= busy_until && !channel.is_empty() {
+                // a free worker drains the channel up to one full batch, or
+                // to empty — at which point it is idle and flushes anyway
+                let take = channel.len().min(MAX_BATCH);
+                let tickets: Vec<_> = channel
+                    .drain(..take)
+                    .map(|(g, arrived)| co.enqueue(g, arrived))
+                    .collect();
+                co.note_flush_trigger(if take == MAX_BATCH {
+                    FlushTrigger::Full
+                } else {
+                    FlushTrigger::Idle
+                });
+                let batch = co.begin_flush().expect("just enqueued");
+                let rows = model.encoder().embed_batch(&batch.graphs());
+                co.complete_flush(batch, rows);
+                for t in tickets {
+                    co.poll(t).expect("every row of the flush is ready");
+                }
+                busy_until = clock.now() + FORWARD_TICKS;
+            }
             clock.advance(1);
-            // tickets drain as they complete (a caller would poll its own)
-            tickets.retain(|&t| co.poll(t).is_none());
             if (tick + 1) % (TICKS / WINDOWS as u64) == 0 {
                 let allocs_now = ALLOCS.load(Ordering::Relaxed);
                 let encoded_now = co.stats().encoded;
@@ -125,14 +151,13 @@ fn main() {
                 window_start_encoded = encoded_now;
             }
         }
-        co.flush(&model);
         let s = co.stats().clone();
         records.push(RateRecord {
             rate,
             requests: submitted,
             flushes: s.flushes,
             full_flushes: s.full_flushes,
-            timer_flushes: s.timer_flushes,
+            idle_flushes: s.idle_flushes,
             mean_fill: s.mean_batch_fill(),
             allocs_per_graph: window_allocs,
         });
@@ -154,14 +179,16 @@ fn main() {
             r.requests,
             r.flushes,
             r.full_flushes,
-            r.timer_flushes,
+            r.idle_flushes,
             r.mean_fill,
             windows.join(" ")
         );
     }
     println!(
         "\n(arrivals are a fractional accumulator — rate 0.5 = one request every \
-         2 ticks; the\n virtual clock makes every row bit-reproducible)"
+         2 ticks; the\n virtual clock makes every row bit-reproducible. The worker encodes at most \
+         {MAX_BATCH} per\n {FORWARD_TICKS} ticks: faster arrivals back up in the channel and \
+         every flush is full)"
     );
 }
 
@@ -170,7 +197,7 @@ fn main() {
 fn print_json(records: &[RateRecord]) {
     println!("{{");
     println!(
-        "  \"meta\": {{\"max_batch\": {MAX_BATCH}, \"max_wait\": {MAX_WAIT}, \
+        "  \"meta\": {{\"max_batch\": {MAX_BATCH}, \"forward_ticks\": {FORWARD_TICKS}, \
          \"ticks\": {TICKS}, \"windows\": {WINDOWS}}},"
     );
     println!("  \"rates\": [");
@@ -183,12 +210,12 @@ fn print_json(records: &[RateRecord]) {
         let comma = if i + 1 < records.len() { "," } else { "" };
         println!(
             "    {{\"rate\": {:.2}, \"requests\": {}, \"flushes\": {}, \"full_flushes\": {}, \
-             \"timer_flushes\": {}, \"mean_fill\": {:.3}, \"allocs_per_graph\": [{}]}}{comma}",
+             \"idle_flushes\": {}, \"mean_fill\": {:.3}, \"allocs_per_graph\": [{}]}}{comma}",
             r.rate,
             r.requests,
             r.flushes,
             r.full_flushes,
-            r.timer_flushes,
+            r.idle_flushes,
             r.mean_fill,
             windows.join(", ")
         );

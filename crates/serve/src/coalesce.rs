@@ -4,16 +4,26 @@
 //! its best running a disjoint-union [`GraphBatch`](gbm_nn::GraphBatch)
 //! forward over many graphs at once (the PR 2 batching win). The
 //! [`EncodeCoalescer`] sits between the two: requests queue until either
-//! `max_batch` graphs are waiting (*full flush*) or the oldest request has
-//! waited `max_wait` clock ticks (*timer flush* — the latency bound), then
-//! one batched forward encodes the whole queue and each caller collects its
-//! own `[1, hidden]` row by [`Ticket`].
+//! `max_batch` graphs are waiting (*full flush*) or whoever drives the
+//! coalescer finds itself with nothing else to do (*idle flush*), then one
+//! batched forward encodes the whole queue and each caller collects its own
+//! `[1, hidden]` row by [`Ticket`].
 //!
-//! Time comes from an injected [`Clock`], so a test or load probe driving a
-//! [`VirtualClock`](crate::VirtualClock) sees exactly reproducible flush
-//! schedules and batch fills. Steady-state allocation stays flat: the
-//! batched forward draws its buffers from `gbm-tensor`'s thread-local
-//! scratch pool, and the queue itself recycles its capacity.
+//! The policy is work-conserving: there is no flush deadline. A request
+//! never waits for company that may not come — batches form only from what
+//! queued while the previous forward was in flight, which is the only
+//! batching a deadline ever bought (batch-8 costs 0.52 ms/graph against
+//! 0.50 ms single at harness scale, so holding a lone request back to fill
+//! a batch is latency spent on nothing). The coalescer itself cannot know
+//! when its driver is idle, so the idle decision lives with the caller: the
+//! server's encode worker flushes when its channel runs empty.
+//!
+//! Enqueue time comes from an injected [`Clock`], so the recorded wait
+//! (`flush tick − enqueue tick`: real queueing behind an in-flight forward)
+//! is reproducible under a [`VirtualClock`](crate::VirtualClock).
+//! Steady-state allocation stays flat: the batched forward draws its
+//! buffers from `gbm-tensor`'s thread-local scratch pool, and the queue
+//! itself recycles its capacity.
 
 use std::collections::{HashMap, HashSet};
 
@@ -28,42 +38,26 @@ pub struct CoalescerConfig {
     /// Flush as soon as this many requests are queued (one batched forward
     /// encodes them all). Also the upper bound on batch fill.
     pub max_batch: usize,
-    /// Flush when the *oldest* queued request has waited this many clock
-    /// ticks — the tail-latency bound under light load.
-    pub max_wait: u64,
 }
 
 impl Default for CoalescerConfig {
     fn default() -> CoalescerConfig {
         CoalescerConfig {
             max_batch: gbm_nn::embeddings::DEFAULT_ENCODE_BATCH,
-            max_wait: 2,
         }
-    }
-}
-
-impl CoalescerConfig {
-    /// Applies the `GBM_FLUSH_TICKS` environment knob (the `max_wait`
-    /// deadline, in clock ticks) on top of this config. Invalid values warn
-    /// on stderr and leave the existing value in force.
-    pub fn with_env(mut self) -> CoalescerConfig {
-        if let Some(t) = crate::env::env_knob("GBM_FLUSH_TICKS", "a non-negative tick count") {
-            self.max_wait = t;
-        }
-        self
     }
 }
 
 /// What caused a caller-driven flush — bookkeeping for the two-phase
 /// [`EncodeCoalescer::begin_flush`]/[`EncodeCoalescer::complete_flush`] API,
 /// where the trigger decision lives with the caller (a server worker loop)
-/// rather than inside `submit`/`pump`/`flush`.
+/// rather than inside `submit`/`flush`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FlushTrigger {
     /// The queue reached `max_batch`.
     Full,
-    /// The oldest request crossed the `max_wait` deadline.
-    Timer,
+    /// The driver ran out of other work with requests still queued.
+    Idle,
     /// An unconditional drain (shutdown / test path).
     Forced,
 }
@@ -82,8 +76,8 @@ pub struct CoalescerStats {
     pub encoded: usize,
     /// Flushes triggered by the queue reaching `max_batch`.
     pub full_flushes: usize,
-    /// Flushes triggered by the `max_wait` deadline.
-    pub timer_flushes: usize,
+    /// Flushes triggered by the driver going idle with requests queued.
+    pub idle_flushes: usize,
     /// Unconditional flushes ([`EncodeCoalescer::flush`] called directly).
     pub forced_flushes: usize,
 }
@@ -178,7 +172,6 @@ impl EncodeCoalescer {
         EncodeCoalescer {
             cfg: CoalescerConfig {
                 max_batch: cfg.max_batch.max(1),
-                ..cfg
             },
             pending: Vec::new(),
             ready: HashMap::new(),
@@ -198,7 +191,7 @@ impl EncodeCoalescer {
         graph: EncodedGraph,
         clock: &dyn Clock,
     ) -> Ticket {
-        let ticket = self.enqueue(graph, clock);
+        let ticket = self.enqueue(graph, clock.now());
         if self.pending.len() >= self.cfg.max_batch {
             self.note_flush_trigger(FlushTrigger::Full);
             self.run_flush(model);
@@ -207,30 +200,24 @@ impl EncodeCoalescer {
     }
 
     /// Queues `graph` *without* flushing, whatever the queue length — the
-    /// submission half of the two-phase worker API. The caller owns the
+    /// submission half of the two-phase worker API. `enqueued_at` is the
+    /// tick the request entered the system (a server stamps it at submit,
+    /// before its channel, so the recorded wait covers the time spent
+    /// queued behind an in-flight forward). The caller owns the
     /// flush policy: check [`pending_len`](Self::pending_len) against
-    /// `max_batch` and [`flush_due`](Self::flush_due) against the clock,
-    /// then drive [`begin_flush`](Self::begin_flush)/
+    /// `max_batch`, flush what is left when it goes idle, and drive
+    /// [`begin_flush`](Self::begin_flush)/
     /// [`complete_flush`](Self::complete_flush) itself (recording the
     /// trigger via [`note_flush_trigger`](Self::note_flush_trigger)).
-    pub fn enqueue(&mut self, graph: EncodedGraph, clock: &dyn Clock) -> Ticket {
+    pub fn enqueue(&mut self, graph: EncodedGraph, enqueued_at: u64) -> Ticket {
         let ticket = Ticket(self.next_ticket);
         self.next_ticket += 1;
         self.pending.push(PendingRequest {
             ticket,
             graph,
-            enqueued_at: clock.now(),
+            enqueued_at,
         });
         ticket
-    }
-
-    /// True when the oldest queued request has waited at least `max_wait`
-    /// ticks — the timer-flush condition, split out so a worker loop can
-    /// test it without owning a model (false on an empty queue).
-    pub fn flush_due(&self, clock: &dyn Clock) -> bool {
-        self.pending.first().is_some_and(|oldest| {
-            clock.now().saturating_sub(oldest.enqueued_at) >= self.cfg.max_wait
-        })
     }
 
     /// Records what caused a caller-driven flush in [`CoalescerStats`]
@@ -239,21 +226,9 @@ impl EncodeCoalescer {
     pub fn note_flush_trigger(&mut self, trigger: FlushTrigger) {
         match trigger {
             FlushTrigger::Full => self.stats.full_flushes += 1,
-            FlushTrigger::Timer => self.stats.timer_flushes += 1,
+            FlushTrigger::Idle => self.stats.idle_flushes += 1,
             FlushTrigger::Forced => self.stats.forced_flushes += 1,
         }
-    }
-
-    /// Timer path: flushes the queue when the oldest queued request has
-    /// waited at least `max_wait` ticks. Call this on every server tick.
-    /// Returns the number of graphs encoded (0 when the deadline hasn't
-    /// passed or the queue is empty).
-    pub fn pump(&mut self, model: &GraphBinMatch, clock: &dyn Clock) -> usize {
-        if !self.flush_due(clock) {
-            return 0;
-        }
-        self.note_flush_trigger(FlushTrigger::Timer);
-        self.run_flush(model)
     }
 
     /// Unconditionally encodes everything queued (shutdown / test path).
@@ -285,7 +260,7 @@ impl EncodeCoalescer {
     /// run `model.encoder().embed_batch(&batch.graphs())` — on a worker
     /// thread if it likes — and hand the rows back through
     /// [`complete_flush`](Self::complete_flush). Flush-trigger stats
-    /// (`full`/`timer`/`forced`) are the trigger's business; this counts
+    /// (`full`/`idle`/`forced`) are the trigger's business; this counts
     /// nothing.
     pub fn begin_flush(&mut self) -> Option<FlushBatch> {
         if self.pending.is_empty() {
@@ -359,7 +334,7 @@ impl EncodeCoalescer {
 
     /// Tickets whose flush batch is between `begin_flush` and
     /// `complete_flush` (always 0 when using the one-shot
-    /// `submit`/`pump`/`flush` API, which encodes synchronously).
+    /// `submit`/`flush` API, which encodes synchronously).
     pub fn in_flight_len(&self) -> usize {
         self.in_flight.len()
     }
@@ -386,10 +361,7 @@ mod tests {
         let (pool, vocab) = toy(4);
         let model = model(vocab, 1);
         let clock = VirtualClock::new();
-        let mut co = EncodeCoalescer::new(CoalescerConfig {
-            max_batch: 4,
-            max_wait: 10,
-        });
+        let mut co = EncodeCoalescer::new(CoalescerConfig { max_batch: 4 });
         let tickets: Vec<Ticket> = pool
             .iter()
             .map(|g| co.submit(&model, g.clone(), &clock))
@@ -407,41 +379,11 @@ mod tests {
     }
 
     #[test]
-    fn timer_flush_waits_for_the_deadline() {
-        let (pool, vocab) = toy(2);
-        let model = model(vocab, 2);
-        let clock = VirtualClock::new();
-        let mut co = EncodeCoalescer::new(CoalescerConfig {
-            max_batch: 8,
-            max_wait: 3,
-        });
-        let t0 = co.submit(&model, pool[0].clone(), &clock);
-        clock.advance(1);
-        let t1 = co.submit(&model, pool[1].clone(), &clock);
-        // deadline not reached: pump is a no-op
-        assert_eq!(co.pump(&model, &clock), 0);
-        assert_eq!(co.pending_len(), 2);
-        clock.advance(2); // oldest has now waited 3 ticks
-        assert_eq!(co.pump(&model, &clock), 2);
-        assert_eq!(co.stats().timer_flushes, 1);
-        assert_eq!(co.stats().mean_batch_fill(), 2.0);
-        assert!(co.poll(t0).is_some());
-        assert!(co.poll(t1).is_some());
-        // an empty queue never timer-flushes
-        clock.advance(100);
-        assert_eq!(co.pump(&model, &clock), 0);
-        assert_eq!(co.stats().flushes, 1);
-    }
-
-    #[test]
     fn rows_route_to_their_tickets_and_match_single_graph_encoding() {
         let (pool, vocab) = toy(5);
         let model = model(vocab, 3);
         let clock = VirtualClock::new();
-        let mut co = EncodeCoalescer::new(CoalescerConfig {
-            max_batch: 3,
-            max_wait: 1,
-        });
+        let mut co = EncodeCoalescer::new(CoalescerConfig { max_batch: 3 });
         // submit out of pool order so row routing is actually exercised
         let order = [3usize, 0, 4, 2, 1];
         let tickets: Vec<(usize, Ticket)> = order
@@ -466,10 +408,7 @@ mod tests {
         let (pool, vocab) = toy(3);
         let model = model(vocab, 6);
         let clock = VirtualClock::new();
-        let mut co = EncodeCoalescer::new(CoalescerConfig {
-            max_batch: 8,
-            max_wait: 1,
-        });
+        let mut co = EncodeCoalescer::new(CoalescerConfig { max_batch: 8 });
         // pending cancel: the request never encodes
         let t0 = co.submit(&model, pool[0].clone(), &clock);
         assert!(co.cancel(t0));
@@ -498,10 +437,7 @@ mod tests {
         let (pool, vocab) = toy(3);
         let model = model(vocab, 7);
         let clock = VirtualClock::new();
-        let mut co = EncodeCoalescer::new(CoalescerConfig {
-            max_batch: 8,
-            max_wait: 1,
-        });
+        let mut co = EncodeCoalescer::new(CoalescerConfig { max_batch: 8 });
         let t0 = co.submit(&model, pool[0].clone(), &clock);
         let t1 = co.submit(&model, pool[1].clone(), &clock);
         let batch = co.begin_flush().expect("two requests queued");
@@ -532,32 +468,35 @@ mod tests {
     }
 
     /// The worker-loop API: `enqueue` never flushes (even past `max_batch`),
-    /// `flush_due` reports the timer condition without a model, and the
-    /// caller-driven two-phase flush routes every row by `tickets()`.
+    /// no amount of clock movement flushes either (there is no deadline —
+    /// the caller decides when it is idle), and the caller-driven two-phase
+    /// flush routes every row by `tickets()` and reports the queueing wait
+    /// by `enqueued_at()`.
     #[test]
-    fn enqueue_and_flush_due_leave_the_flush_policy_to_the_caller() {
+    fn enqueue_leaves_the_flush_policy_to_the_caller() {
         let (pool, vocab) = toy(5);
         let model = model(vocab, 9);
         let clock = VirtualClock::new();
-        let mut co = EncodeCoalescer::new(CoalescerConfig {
-            max_batch: 2,
-            max_wait: 3,
-        });
-        assert!(!co.flush_due(&clock), "empty queue is never due");
-        let tickets: Vec<Ticket> = pool.iter().map(|g| co.enqueue(g.clone(), &clock)).collect();
-        assert_eq!(co.pending_len(), 5, "enqueue ignores max_batch");
+        let mut co = EncodeCoalescer::new(CoalescerConfig { max_batch: 2 });
+        let tickets: Vec<Ticket> = pool
+            .iter()
+            .map(|g| {
+                clock.advance(1);
+                co.enqueue(g.clone(), clock.now())
+            })
+            .collect();
+        clock.advance(1_000);
+        assert_eq!(co.pending_len(), 5, "enqueue ignores max_batch and time");
         assert_eq!(model.encoder().forward_count(), 0);
-        assert!(!co.flush_due(&clock), "deadline not reached yet");
-        clock.advance(3);
-        assert!(co.flush_due(&clock));
-        co.note_flush_trigger(FlushTrigger::Timer);
+        co.note_flush_trigger(FlushTrigger::Idle);
         let batch = co.begin_flush().expect("queue is non-empty");
         assert_eq!(batch.tickets(), tickets, "tickets come back in row order");
+        assert_eq!(batch.enqueued_at(), [1, 2, 3, 4, 5], "enqueue ticks kept");
         let rows = model.encoder().embed_batch(&batch.graphs());
         assert_eq!(co.complete_flush(batch, rows), 5);
-        assert!(!co.flush_due(&clock), "drained queue is no longer due");
-        assert_eq!(co.stats().timer_flushes, 1);
-        assert_eq!(co.stats().flushes, 1);
+        assert_eq!(co.pending_len(), 0);
+        let stats = co.stats();
+        assert_eq!((stats.idle_flushes, stats.flushes), (1, 1));
         for t in tickets {
             assert!(co.poll(t).is_some());
         }
@@ -587,10 +526,7 @@ mod tests {
         let (pool, vocab) = toy(1);
         let model = model(vocab, 5);
         let clock = VirtualClock::new();
-        let mut co = EncodeCoalescer::new(CoalescerConfig {
-            max_batch: 0,
-            max_wait: 1,
-        });
+        let mut co = EncodeCoalescer::new(CoalescerConfig { max_batch: 0 });
         let t = co.submit(&model, pool[0].clone(), &clock);
         assert!(co.poll(t).is_some(), "batch size 1: submit flushes at once");
     }

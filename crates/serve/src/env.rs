@@ -1,6 +1,6 @@
 //! Environment knobs for the serving layer, with the workspace's
 //! warn-and-fall-back contract: an invalid value prints a warning on stderr
-//! and the built-in default stays in force — a typo'd `GBM_FLUSH_TICKS=2O`
+//! and the built-in default stays in force — a typo'd `GBM_SERVE_WORKERS=2O`
 //! must not masquerade as a tuned deployment (the same contract
 //! `gbm-bench`'s `GBM_EPOCHS`-style knobs follow).
 
@@ -22,7 +22,6 @@ pub(crate) fn env_knob<T: std::str::FromStr>(name: &str, what: &str) -> Option<T
 #[cfg(test)]
 mod tests {
     use crate::artifact::ArtifactConfig;
-    use crate::coalesce::CoalescerConfig;
     use crate::index::IndexConfig;
     use crate::quantized::ScanPrecision;
     use crate::server::ServerConfig;
@@ -32,45 +31,31 @@ mod tests {
     #[test]
     fn serve_env_knobs_apply_and_fall_back_loudly() {
         // unset: defaults in force
-        std::env::remove_var("GBM_FLUSH_TICKS");
         std::env::remove_var("GBM_SERVE_WORKERS");
         std::env::remove_var("GBM_IVF_CELLS");
         std::env::remove_var("GBM_SCAN_NPROBE");
         std::env::remove_var("GBM_METRICS");
         std::env::remove_var("GBM_TRACE_SAMPLE");
-        let co = CoalescerConfig::default().with_env();
-        assert_eq!(co.max_wait, CoalescerConfig::default().max_wait);
         let sv = ServerConfig::default().with_env();
         assert_eq!(sv.scan_workers, ServerConfig::default().scan_workers);
         assert!(sv.obs.metrics, "metrics default on");
         assert_eq!(sv.obs.trace_sample, 0, "tracing defaults off");
 
         // valid overrides apply
-        std::env::set_var("GBM_FLUSH_TICKS", "9");
         std::env::set_var("GBM_SERVE_WORKERS", "3");
         std::env::set_var("GBM_METRICS", "0");
         std::env::set_var("GBM_TRACE_SAMPLE", "100");
-        assert_eq!(CoalescerConfig::default().with_env().max_wait, 9);
         let sv = ServerConfig::default().with_env();
         assert_eq!(sv.scan_workers, 3);
-        assert_eq!(
-            sv.coalescer.max_wait, 9,
-            "ServerConfig::with_env composes the coalescer knob"
-        );
         assert!(!sv.obs.metrics, "GBM_METRICS=0 disables the registry");
         assert_eq!(sv.obs.trace_sample, 100);
         std::env::set_var("GBM_METRICS", "1");
         assert!(ServerConfig::default().with_env().obs.metrics);
 
         // invalid values warn (stderr) and fall back — not silently ignore
-        std::env::set_var("GBM_FLUSH_TICKS", "2O");
         std::env::set_var("GBM_SERVE_WORKERS", "-1");
         std::env::set_var("GBM_METRICS", "off");
         std::env::set_var("GBM_TRACE_SAMPLE", "every-5th");
-        assert_eq!(
-            CoalescerConfig::default().with_env().max_wait,
-            CoalescerConfig::default().max_wait
-        );
         assert_eq!(
             ServerConfig::default().with_env().scan_workers,
             ServerConfig::default().scan_workers
@@ -149,7 +134,6 @@ mod tests {
         std::env::remove_var("GBM_ARTIFACT_DIR");
         std::env::remove_var("GBM_ARTIFACT_MMAP");
 
-        std::env::remove_var("GBM_FLUSH_TICKS");
         std::env::remove_var("GBM_SERVE_WORKERS");
         std::env::remove_var("GBM_IVF_CELLS");
         std::env::remove_var("GBM_SCAN_NPROBE");

@@ -32,20 +32,21 @@
 //!   cold starts stay bit-identical. `GBM_SCAN_NPROBE` / `GBM_IVF_CELLS`
 //!   tune probing from the environment ([`IndexConfig::with_env`]).
 //! * [`EncodeCoalescer`] — the request-side batcher: incoming encode
-//!   requests queue until `max_batch` graphs are waiting or the oldest has
-//!   waited `max_wait` clock ticks, then one [`GraphBatch`] forward encodes
-//!   the whole flush and every caller picks up its own row by ticket.
+//!   requests queue until `max_batch` graphs are waiting or the driver
+//!   goes idle (work-conserving: no flush deadline), then one
+//!   [`GraphBatch`] forward encodes the whole flush and every caller picks
+//!   up its own row by ticket.
 //! * [`Clock`] / [`VirtualClock`] — time is injected, never read from the
-//!   OS, so coalescing behaviour (flush timing, batch fill under a given
-//!   arrival rate) is exactly reproducible in tests and load probes.
+//!   OS, so recorded queueing waits and trace stages are exactly
+//!   reproducible in tests and load probes.
 //! * [`Server`] — the concurrent front-end tying it together: one encode
 //!   worker drives the coalescer's two-phase flush (the batched forward
 //!   runs off-lock, overlapping scans), N shard-pinned scan workers answer
 //!   query fan-outs via [`ShardedIndex::query_shards`], and callers k-way
 //!   merge the sorted partials — bit-identical to the single-threaded
 //!   query. Submissions resolve through oneshot handles, never polling.
-//!   `GBM_SERVE_WORKERS` / `GBM_FLUSH_TICKS` tune the topology from the
-//!   environment ([`ServerConfig::with_env`]).
+//!   `GBM_SERVE_WORKERS` tunes the topology from the environment
+//!   ([`ServerConfig::with_env`]).
 //! * [`persist`] — crash-safe persistence: checksummed atomic snapshots of
 //!   the index (plus tokenizer and model) and an append-only op WAL the
 //!   durable server tees every insert/remove through. [`recover`] rebuilds

@@ -17,11 +17,15 @@
 //! * **One encode worker** owns the model replica and the coalescer. Every
 //!   write (encode request, row publish, remove) flows through its channel,
 //!   so index mutation is single-writer by construction. The worker drives
-//!   the coalescer's caller-side flush policy — full flush at `max_batch`,
-//!   timer flush when the injected [`Clock`] says the oldest request crossed
-//!   `max_wait` — and runs the expensive batched forward *without holding
-//!   any lock*: only the final O(hidden) row publish takes the index write
-//!   lock. Scans overlap encodes; that is the pipelining.
+//!   the coalescer's caller-side flush policy, which is work-conserving:
+//!   it blocks on its channel (an idle server makes no wakeups), handles
+//!   the request that woke it, drains the burst queued behind it — full
+//!   flush at `max_batch` — and when the channel runs empty flushes
+//!   whatever is pending *now* (idle flush). A lone request is encoded at
+//!   once; under load batches form from what arrived while the previous
+//!   forward was in flight. The expensive batched forward runs *without
+//!   holding any lock*: only the final O(hidden) row publish takes the
+//!   index write lock. Scans overlap encodes; that is the pipelining.
 //! * **N scan workers**, each pinned to a contiguous shard range. A query
 //!   fans out one [`ShardedIndex::query_shards`] job per worker, collects
 //!   the sorted partials, and k-way merges them with
@@ -58,7 +62,7 @@
 use std::collections::HashMap;
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender, SyncSender};
+use std::sync::mpsc::{self, Receiver, Sender, SyncSender};
 use std::sync::{Arc, RwLock};
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -106,9 +110,9 @@ impl ServerConfig {
     /// `GBM_SERVE_WORKERS` (scan worker threads), `GBM_METRICS` (0
     /// disables the metrics registry — the instrumented-out baseline),
     /// `GBM_TRACE_SAMPLE` (trace every N-th query; 0 = off) and, via
-    /// [`CoalescerConfig::with_env`] and [`IndexConfig::with_env`],
-    /// `GBM_FLUSH_TICKS` / `GBM_IVF_CELLS` / `GBM_SCAN_NPROBE`. Invalid
-    /// values warn on stderr and leave the built-in defaults in force.
+    /// [`IndexConfig::with_env`], `GBM_IVF_CELLS` / `GBM_SCAN_NPROBE`.
+    /// Invalid values warn on stderr and leave the built-in defaults in
+    /// force.
     pub fn with_env(mut self) -> ServerConfig {
         if let Some(w) =
             crate::env::env_knob::<usize>("GBM_SERVE_WORKERS", "a scan worker thread count")
@@ -123,7 +127,6 @@ impl ServerConfig {
         {
             self.obs.trace_sample = n;
         }
-        self.coalescer = self.coalescer.with_env();
         self.index = self.index.with_env();
         self
     }
@@ -228,6 +231,9 @@ enum EncodeDest {
 enum Request {
     Encode {
         graph: Box<EncodedGraph>,
+        /// Clock tick at submit: coalescer wait is measured from here, so
+        /// it covers the time queued behind an in-flight forward.
+        at: u64,
         dest: EncodeDest,
     },
     InsertRow {
@@ -268,7 +274,7 @@ pub struct EncodeHandle {
 
 impl EncodeHandle {
     /// The `[1, hidden]` embedding of the submitted graph. Blocks until
-    /// its batch flushes (full, timer, or shutdown).
+    /// its batch flushes (full, idle, or shutdown).
     pub fn wait(self) -> Tensor {
         self.rx.recv().expect("server encode worker exited early")
     }
@@ -342,8 +348,9 @@ pub struct Server {
 
 impl Server {
     /// Starts a server encoding with (a replica of) `model` over an
-    /// initially-empty index. The clock drives the coalescer's timer
-    /// flushes — [`WallClock`](crate::WallClock) in production, a shared
+    /// initially-empty index. The clock stamps coalescer queueing waits
+    /// and trace stages (it never decides *when* to flush) —
+    /// [`WallClock`](crate::WallClock) in production, a shared
     /// [`VirtualClock`](crate::VirtualClock) in tests and load probes.
     pub fn new(model: &GraphBinMatch, cfg: ServerConfig, clock: Arc<dyn Clock>) -> Server {
         let worker_model = WorkerModel {
@@ -410,7 +417,7 @@ impl Server {
         let index = Arc::new(RwLock::new(index));
         let num_shards = index.read().unwrap().num_shards();
         let workers = cfg.scan_workers.clamp(1, num_shards);
-        let obs = Arc::new(ServerObs::new(cfg.obs, Arc::clone(&clock)));
+        let obs = Arc::new(ServerObs::new(cfg.obs, clock));
         let worker_failed: Arc<Vec<AtomicBool>> =
             Arc::new((0..workers).map(|_| AtomicBool::new(false)).collect());
         let mut scan_txs = Vec::with_capacity(workers);
@@ -435,7 +442,7 @@ impl Server {
         let coalescer = cfg.coalescer;
         let eobs = Arc::clone(&obs);
         let encode_worker = std::thread::spawn(move || {
-            encode_worker_loop(encode_rx, model, idx, clock, coalescer, wal, eobs)
+            encode_worker_loop(encode_rx, model, idx, coalescer, wal, eobs)
         });
         Server {
             index,
@@ -469,6 +476,7 @@ impl Server {
         let (tx, rx) = mpsc::sync_channel(1);
         self.send(Request::Encode {
             graph: Box::new(graph),
+            at: self.obs.clock.now(),
             dest: EncodeDest::Reply(tx),
         });
         EncodeHandle { rx }
@@ -485,6 +493,7 @@ impl Server {
         let (tx, rx) = mpsc::sync_channel(1);
         self.send(Request::Encode {
             graph: Box::new(graph),
+            at: self.obs.clock.now(),
             dest: EncodeDest::Publish { id, done: tx },
         });
         InsertHandle { rx }
@@ -783,15 +792,10 @@ fn durable_append(
     })
 }
 
-/// How long the encode worker blocks on its channel before re-checking the
-/// timer-flush deadline — the staleness bound on `max_wait` enforcement.
-const WORKER_POLL: Duration = Duration::from_millis(1);
-
 fn encode_worker_loop(
     rx: Receiver<Request>,
     model: Option<WorkerModel>,
     index: Arc<RwLock<ShardedIndex>>,
-    clock: Arc<dyn Clock>,
     cfg: CoalescerConfig,
     mut wal: Option<Wal>,
     obs: Arc<ServerObs>,
@@ -853,7 +857,7 @@ fn encode_worker_loop(
             span.stage("coalesce.wait", oldest, flush_tick)
                 .field("batch_size", enqueued.len() as u64)
                 .field(
-                    "max_wait_ticks",
+                    "longest_wait_ticks",
                     enqueued
                         .iter()
                         .map(|&at| flush_tick.saturating_sub(at))
@@ -918,17 +922,13 @@ fn encode_worker_loop(
     }
 
     let mut shutdown_report: Option<SyncSender<ServerReport>> = None;
-    'serve: loop {
-        let mut next = match rx.recv_timeout(WORKER_POLL) {
-            Ok(req) => Some(req),
-            Err(RecvTimeoutError::Timeout) => None,
-            Err(RecvTimeoutError::Disconnected) => break 'serve,
-        };
-        // handle the received request, then drain the burst behind it
-        while let Some(req) = next {
+    // blocks while idle — no periodic wakeups; a hung-up channel ends the loop
+    'serve: while let Ok(mut req) = rx.recv() {
+        // handle the request that woke us, then drain the burst behind it
+        loop {
             match req {
-                Request::Encode { graph, dest } => {
-                    let t = co.enqueue(*graph, &*clock);
+                Request::Encode { graph, at, dest } => {
+                    let t = co.enqueue(*graph, at);
                     if let EncodeDest::Publish { id, .. } = &dest {
                         if let Some(old) = publish_ticket.insert(*id, t) {
                             // replaced while still coalescing: the newer
@@ -982,33 +982,20 @@ fn encode_worker_loop(
                 }
                 Request::Shutdown { report } => {
                     shutdown_report = Some(report);
-                    break;
+                    break 'serve;
                 }
             }
-            next = rx.try_recv().ok();
+            match rx.try_recv() {
+                Ok(next) => req = next,
+                Err(_) => break,
+            }
         }
-        if shutdown_report.is_some() {
-            break 'serve;
-        }
-        if co.flush_due(&*clock) {
-            flush(
-                &mut co,
-                FlushTrigger::Timer,
-                &replica,
-                &mut dests,
-                &mut publish_ticket,
-                &index,
-                &mut wal,
-                &obs,
-            );
-        }
-    }
-    // final drain: whatever is still coalescing flushes now, so every
-    // outstanding handle resolves before the worker exits
-    if co.pending_len() > 0 {
+        // the channel is empty, so the worker is idle by construction:
+        // encode what is pending now rather than hold it for company.
+        // Under load the next batch forms behind this forward.
         flush(
             &mut co,
-            FlushTrigger::Forced,
+            FlushTrigger::Idle,
             &replica,
             &mut dests,
             &mut publish_ticket,
@@ -1017,6 +1004,18 @@ fn encode_worker_loop(
             &obs,
         );
     }
+    // final drain: whatever is still coalescing flushes now, so every
+    // outstanding handle resolves before the worker exits
+    flush(
+        &mut co,
+        FlushTrigger::Forced,
+        &replica,
+        &mut dests,
+        &mut publish_ticket,
+        &index,
+        &mut wal,
+        &obs,
+    );
     // final sync: a failure leaves `unsynced` nonzero in the reported
     // state — a visibly dirty shutdown, never one silently claimed clean
     if let Some(w) = wal.as_mut() {
@@ -1117,9 +1116,21 @@ mod tests {
         }
     }
 
+    /// Every flush has exactly one trigger, whatever batches the arrival
+    /// timing happened to form.
+    fn assert_flush_triggers_add_up(report: &ServerReport) {
+        let c = &report.coalescer;
+        assert_eq!(
+            c.full_flushes + c.idle_flushes + c.forced_flushes,
+            c.flushes,
+            "{report:?}"
+        );
+    }
+
     /// Oneshot semantics: `submit` resolves with the same row a direct
-    /// solo encode produces, and a full coalescer batch flushes without
-    /// the clock moving.
+    /// solo encode produces (to batching tolerance — how the four requests
+    /// split into batches depends on arrival timing, and embeddings are
+    /// only tolerance-equal across splits), without the clock moving.
     #[test]
     fn submit_resolves_with_the_coalesced_embedding() {
         let (pool, vocab) = toy(4);
@@ -1127,10 +1138,7 @@ mod tests {
         let server = Server::new(
             &m,
             ServerConfig {
-                coalescer: CoalescerConfig {
-                    max_batch: 4,
-                    max_wait: 1_000_000,
-                },
+                coalescer: CoalescerConfig { max_batch: 4 },
                 ..Default::default()
             },
             Arc::new(VirtualClock::new()),
@@ -1145,41 +1153,51 @@ mod tests {
         }
         let report = server.shutdown();
         assert!(report.is_drained(), "{report:?}");
-        assert_eq!(report.coalescer.full_flushes, 1, "one full batch");
+        assert_flush_triggers_add_up(&report);
         assert_eq!(report.coalescer.encoded, 4);
     }
 
-    /// Timer flushes fire off the injected clock, not wall time: a lone
-    /// request sits coalescing while the virtual clock is still, and
-    /// resolves once the clock crosses `max_wait`.
+    /// The work-conserving policy: a lone `submit` and a lone `insert`
+    /// resolve on a virtual clock that **never advances** — the worker
+    /// flushes because it is idle, not because a deadline passed. The
+    /// wall-clock timeout turns a worker that waits for the clock (the
+    /// deadline policy this replaced) into a failure instead of a hang.
     #[test]
-    fn timer_flush_fires_on_the_injected_clock() {
-        let (pool, vocab) = toy(1);
+    fn lone_requests_resolve_without_the_clock_advancing() {
+        let (pool, vocab) = toy(2);
         let m = model(vocab, 32);
-        let clock = Arc::new(VirtualClock::new());
-        let server = Server::new(
+        let server = Arc::new(Server::new(
             &m,
             ServerConfig {
-                coalescer: CoalescerConfig {
-                    max_batch: 100,
-                    max_wait: 5,
-                },
+                coalescer: CoalescerConfig { max_batch: 100 },
                 ..Default::default()
             },
-            Arc::clone(&clock) as Arc<dyn Clock>,
-        );
-        let h = server.insert(7, pool[0].clone());
-        // the virtual clock has not moved: the worker polls but never
-        // reaches the deadline, so the request must still be coalescing
-        std::thread::sleep(Duration::from_millis(30));
-        assert_eq!(server.num_encoded(), 0, "no flush before the deadline");
-        clock.advance(5);
-        h.wait(); // resolves via the timer flush
-        assert_eq!(server.num_encoded(), 1);
+            Arc::new(VirtualClock::new()),
+        ));
+        let (tx, rx) = mpsc::channel();
+        let client = {
+            let (server, pool) = (Arc::clone(&server), pool.clone());
+            std::thread::spawn(move || {
+                let row = server.submit(pool[0].clone()).wait();
+                server.insert(7, pool[1].clone()).wait();
+                let _ = tx.send(row);
+            })
+        };
+        let row = rx
+            .recv_timeout(Duration::from_secs(60))
+            .expect("a lone request flushes when the worker goes idle");
+        client.join().expect("client thread panicked");
+        assert_eq!(row.data(), m.encoder().embed(&pool[0]).data(), "batch of 1");
         assert!(server.embedding(7).is_some());
+        let server = Arc::into_inner(server).expect("client joined");
         let report = server.shutdown();
         assert!(report.is_drained(), "{report:?}");
-        assert_eq!(report.coalescer.timer_flushes, 1);
+        let c = &report.coalescer;
+        assert_eq!(
+            (c.idle_flushes, c.flushes, c.encoded),
+            (2, 2, 2),
+            "each lone request was its own idle flush"
+        );
     }
 
     /// Insert/remove lifecycle through the server: publish, replace,
@@ -1189,23 +1207,19 @@ mod tests {
     fn insert_remove_lifecycle_never_hangs_or_leaks() {
         let (pool, vocab) = toy(5);
         let m = model(vocab, 33);
-        let clock = Arc::new(VirtualClock::new());
         let server = Server::new(
             &m,
             ServerConfig {
-                coalescer: CoalescerConfig {
-                    max_batch: 2,
-                    max_wait: 1_000_000,
-                },
+                coalescer: CoalescerConfig { max_batch: 2 },
                 index: IndexConfig {
                     num_shards: 3,
                     ..Default::default()
                 },
                 ..Default::default()
             },
-            Arc::clone(&clock) as Arc<dyn Clock>,
+            Arc::new(VirtualClock::new()),
         );
-        // two inserts fill a batch and publish
+        // two inserts publish (as one full batch or two lone ones)
         let h0 = server.insert(0, pool[0].clone());
         let h1 = server.insert(1, pool[1].clone());
         h0.wait();
@@ -1225,20 +1239,23 @@ mod tests {
         assert!(server.remove(1).wait());
         assert_eq!(server.ids(), vec![0, 2]);
         assert!(!server.remove(1).wait(), "double remove reports absence");
-        // remove of a *pending* insert: batch never fills, clock never
-        // moves — only the cancel can resolve the handle
+        // remove racing a lone insert: if the insert is still coalescing
+        // the remove cancels it (and resolves its handle), if it already
+        // published the remove deletes the row — either way the id existed,
+        // the handle resolves, and the row is gone
         let pending = server.insert(9, pool[4].clone());
         assert!(server.remove(9).wait(), "pending insert counts as existing");
-        pending.wait(); // resolved by the cancel, not a flush
-        assert!(server.embedding(9).is_none(), "cancelled row never lands");
-        // a replacing insert also resolves the handle it replaces
+        pending.wait();
+        assert!(server.embedding(9).is_none(), "removed row is not served");
+        // a replacing insert resolves the handle it replaces, by cancel or
+        // by publish
         let old = server.insert(5, pool[0].clone());
         let new = server.insert(5, pool[1].clone());
         old.wait();
-        let report = server.shutdown(); // forced flush publishes id 5
+        let report = server.shutdown(); // drains whatever is still queued
         drop(new);
         assert!(report.is_drained(), "{report:?}");
-        assert!(report.coalescer.forced_flushes >= 1);
+        assert_flush_triggers_add_up(&report);
     }
 
     /// `insert_row` publishes precomputed rows through the same
@@ -1274,15 +1291,11 @@ mod tests {
     fn concurrent_stress_replay_matches_serial() {
         let (pool, vocab) = toy(6);
         let m = model(vocab, 35);
-        let clock = Arc::new(VirtualClock::new());
         let server = Arc::new(Server::new(
             &m,
             ServerConfig {
                 scan_workers: 2,
-                coalescer: CoalescerConfig {
-                    max_batch: 4,
-                    max_wait: 2,
-                },
+                coalescer: CoalescerConfig { max_batch: 4 },
                 index: IndexConfig {
                     num_shards: 3,
                     encode_batch: 4,
@@ -1290,7 +1303,7 @@ mod tests {
                 },
                 ..Default::default()
             },
-            Arc::clone(&clock) as Arc<dyn Clock>,
+            Arc::new(VirtualClock::new()),
         ));
         const PER_THREAD: usize = 12;
         let mut threads = Vec::new();
@@ -1332,19 +1345,10 @@ mod tests {
                 }
             }));
         }
-        // keep virtual time moving so timer flushes can fire under load
-        {
-            let clock = Arc::clone(&clock);
-            let ticker = std::thread::spawn(move || {
-                for _ in 0..200 {
-                    clock.advance(1);
-                    std::thread::sleep(Duration::from_millis(1));
-                }
-            });
-            for th in threads {
-                th.join().expect("stress thread panicked");
-            }
-            ticker.join().unwrap();
+        // the virtual clock never moves: every flush below is full, idle
+        // or forced — nothing waits on time
+        for th in threads {
+            th.join().expect("stress thread panicked");
         }
         let server = Arc::into_inner(server).expect("all thread clones joined");
         let got_ids = server.ids();
@@ -1354,6 +1358,7 @@ mod tests {
             .collect();
         let report = server.shutdown();
         assert!(report.is_drained(), "leaked state at shutdown: {report:?}");
+        assert_flush_triggers_add_up(&report);
         assert_eq!(
             report.coalescer.encoded,
             3 * PER_THREAD,
@@ -1638,10 +1643,7 @@ mod tests {
             rec.index,
             ServerConfig {
                 scan_workers: 2,
-                coalescer: CoalescerConfig {
-                    max_batch: 3,
-                    max_wait: 1_000_000,
-                },
+                coalescer: CoalescerConfig { max_batch: 3 },
                 index: icfg,
                 ..Default::default()
             },
@@ -1649,7 +1651,8 @@ mod tests {
             rec.wal,
         );
         server.record_recovery(rstats);
-        // encode path: two full batches of 3 through the coalescer + WAL
+        // encode path: six inserts through the coalescer + WAL, in however
+        // many batches of at most 3 the arrival timing forms
         let handles: Vec<InsertHandle> = (0..6)
             .map(|i| server.insert(i as GraphId, pool[i].clone()))
             .collect();
@@ -1676,10 +1679,12 @@ mod tests {
         assert_eq!(snap.histogram("serve.query_us").unwrap().count(), 5);
         assert_eq!(snap.histogram("serve.merge_us").unwrap().count(), 5);
         // encode
-        assert_eq!(snap.counter("serve.encode.flushes"), Some(2));
+        let flushes = snap.counter("serve.encode.flushes").unwrap();
+        assert!((2..=6).contains(&flushes), "6 graphs, max_batch 3");
         assert_eq!(snap.counter("serve.encode.graphs"), Some(6));
         let fill = snap.histogram("serve.encode.batch_fill").unwrap();
-        assert_eq!((fill.count(), fill.max()), (2, 3));
+        assert_eq!(fill.count(), flushes);
+        assert!(fill.max() <= 3, "max_batch bounds every fill");
         assert_eq!(
             snap.histogram("serve.encode.wait_ticks").unwrap().count(),
             6,
@@ -1687,7 +1692,7 @@ mod tests {
         );
         assert_eq!(
             snap.histogram("serve.encode.forward_us").unwrap().count(),
-            2
+            flushes
         );
         // WAL (write-ahead of every publish)
         assert_eq!(snap.counter("wal.appends"), Some(6));

@@ -6,27 +6,39 @@
 //! instead of allocating a fresh `Vec` per op.
 //!
 //! Parallelism: kernels switch to rayon data parallelism once the work size
-//! crosses a threshold. The vendored rayon spawns scoped OS threads per
-//! stage (tens of µs each), so the thresholds are sized to amortize a spawn,
-//! not just a fork-join: compute-bound kernels (matmul family) gate on FLOPs
-//! via [`PAR_THRESHOLD`], memory-bound kernels (gather, sequence max, row
-//! softmax) need far more elements before threads pay off and gate on
-//! [`PAR_THRESHOLD_MEMBOUND`] — a straight copy moves ~4 f32/ns, so anything
-//! below ~256K elements finishes before a spawn completes.
+//! crosses a threshold. The vendored rayon has no pool: every stage
+//! materializes its chunk lists, spawns scoped OS threads and joins them,
+//! and the rows' cache lines travel to the other core and back. Measured
+//! against the sequential arm at the shapes the encoder runs (the
+//! `microbench` module below), that dispatch costs ~100 µs a stage on the
+//! 2-core reference host — several times a whole `n·32·32` linear on a
+//! 200-node graph — so the thresholds sit at the measured break-even and
+//! nothing at harness scale (hidden 32) dispatches, while paper-scale
+//! `256×256` linears (≥ 32 rows) keep their parallel path. Compute-bound
+//! kernels (matmul family) gate on multiply-adds via [`PAR_THRESHOLD`];
+//! memory-bound kernels (gather, sequence max, row softmax) gate on
+//! elements touched via [`PAR_THRESHOLD_MEMBOUND`].
+//!
+//! Every parallel arm is row-parallel and writes each output row with the
+//! same operation order as the sequential arm, so the two are bit-identical
+//! — which is what lets a threshold move without moving a ranking.
 
 use crate::scratch;
 use rayon::prelude::*;
 use std::sync::OnceLock;
 
 /// Minimum number of f32 multiply-adds before a compute-bound kernel bothers
-/// with rayon (~25 µs of single-thread arithmetic — the break-even point
-/// against one scoped-thread spawn; measured in `microbench` below).
-pub(crate) const PAR_THRESHOLD: usize = 128 * 1024;
+/// with rayon: the two-worker break-even `2·D·r` of a ~100 µs stage
+/// dispatch `D` against a sequential rate `r` of 7.5–9 MAC/ns, which
+/// `microbench::dispatch_cost_and_break_even` prints as 1.5–2.2 Mi MACs on
+/// the reference host. More workers only lower the crossing's `c/(c−1)`
+/// factor towards 1, so the two-worker figure is safe everywhere.
+pub(crate) const PAR_THRESHOLD: usize = 2 * 1024 * 1024;
 
 /// Minimum number of f32 elements touched before a memory-bound kernel
-/// (gather / seq-max / softmax) parallelizes. Copies are ~10× cheaper per
-/// element than multiply-adds, so the bar is correspondingly higher.
-pub(crate) const PAR_THRESHOLD_MEMBOUND: usize = 256 * 1024;
+/// (gather / seq-max / softmax) parallelizes: the same dispatch cost against
+/// a sequential copy rate of 4–5 f32/ns (0.9–1.0 Mi elements measured).
+pub(crate) const PAR_THRESHOLD_MEMBOUND: usize = 1024 * 1024;
 
 /// True when this host can actually run more than one worker. The rayon
 /// parallel adaptors are eager (they materialize chunk lists before
@@ -35,7 +47,7 @@ pub(crate) const PAR_THRESHOLD_MEMBOUND: usize = 256 * 1024;
 #[inline]
 pub(crate) fn multicore() -> bool {
     #[cfg(test)]
-    if FORCE_PARALLEL.load(std::sync::atomic::Ordering::Relaxed) {
+    if FORCE_PARALLEL.load(std::sync::atomic::Ordering::Relaxed) > 0 {
         return true;
     }
     static CORES: OnceLock<bool> = OnceLock::new();
@@ -46,12 +58,13 @@ pub(crate) fn multicore() -> bool {
     })
 }
 
-/// Test hook: forces the parallel branches on, so they stay covered even on
-/// single-core CI hosts (the vendored rayon degrades to sequential execution
-/// of the same closures when only one worker exists).
+/// Test hook: while nonzero (a count, so concurrently running tests do not
+/// switch each other off) the parallel branches are forced on, so they stay
+/// covered even on single-core CI hosts (the vendored rayon degrades to
+/// sequential execution of the same closures when only one worker exists).
 #[cfg(test)]
-pub(crate) static FORCE_PARALLEL: std::sync::atomic::AtomicBool =
-    std::sync::atomic::AtomicBool::new(false);
+pub(crate) static FORCE_PARALLEL: std::sync::atomic::AtomicUsize =
+    std::sync::atomic::AtomicUsize::new(0);
 
 /// `C[n×m] = A[n×k] · B[k×m]`, row-major, ikj loop order for cache locality.
 ///
@@ -347,55 +360,88 @@ mod tests {
         assert_eq!(matmul(&a, &b, 2, 3, 4), naive_matmul(&a, &b, 2, 3, 4));
     }
 
+    /// Runs `f` with the parallel branches forced on, so they stay covered
+    /// on a single-core host, where `multicore()` would gate them off.
+    fn forced_parallel<T>(f: impl FnOnce() -> T) -> T {
+        FORCE_PARALLEL.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        let out = f();
+        FORCE_PARALLEL.fetch_sub(1, std::sync::atomic::Ordering::Relaxed);
+        out
+    }
+
+    /// One shape on each side of `PAR_THRESHOLD`: whichever arm a shape
+    /// takes, every output row must be bit-identical to the sequential
+    /// kernel run on that row alone (`n = 1` never dispatches) — row
+    /// parallelism may not reorder a single addition.
     #[test]
     fn matmul_large_parallel_path() {
-        // force the parallel branches so this covers them even on a
-        // single-core host, where multicore() would otherwise gate them off
-        FORCE_PARALLEL.store(true, std::sync::atomic::Ordering::Relaxed);
-        let n = 64;
-        let k = 64;
-        let m = 48;
-        let a: Vec<f32> = (0..n * k).map(|x| ((x % 7) as f32) - 3.0).collect();
-        let b: Vec<f32> = (0..k * m).map(|x| ((x % 5) as f32) * 0.25).collect();
-        assert!(n * k * m >= PAR_THRESHOLD, "exercise the parallel path");
-        let expect = naive_matmul(&a, &b, n, k, m);
-        let got = matmul(&a, &b, n, k, m);
-        let got_tn = matmul_tn(&transpose(&a, n, k), &b, k, n, m);
-        let got_nt = matmul_nt(&a, &transpose(&b, k, m), n, k, m);
-        FORCE_PARALLEL.store(false, std::sync::atomic::Ordering::Relaxed);
-        for ((g, gtn), (gnt, e)) in got
-            .iter()
-            .zip(got_tn.iter())
-            .zip(got_nt.iter().zip(expect.iter()))
-        {
-            assert!((g - e).abs() < 1e-3);
-            assert!((gtn - e).abs() < 1e-3);
-            assert!((gnt - e).abs() < 1e-3);
+        let (k, m) = (128usize, 128usize);
+        for n in [120usize, 136] {
+            let a: Vec<f32> = (0..n * k).map(|x| ((x % 7) as f32) - 3.1).collect();
+            let b: Vec<f32> = (0..k * m).map(|x| ((x % 5) as f32) * 0.23).collect();
+            let (at, bt) = (transpose(&a, n, k), transpose(&b, k, m));
+            assert_eq!(n * k * m >= PAR_THRESHOLD, n == 136, "one shape per arm");
+            let (got, got_tn, got_nt) = forced_parallel(|| {
+                (
+                    matmul(&a, &b, n, k, m),
+                    matmul_tn(&at, &b, k, n, m),
+                    matmul_nt(&a, &bt, n, k, m),
+                )
+            });
+            for i in 0..n {
+                let arow = &a[i * k..(i + 1) * k];
+                let want = i * m..(i + 1) * m;
+                assert_eq!(got[want.clone()], matmul(arow, &b, 1, k, m), "row {i}");
+                // column i of `at` is row i of `a`
+                assert_eq!(got_tn[want.clone()], matmul_tn(arow, &b, k, 1, m));
+                assert_eq!(got_nt[want], matmul_nt(arow, &bt, 1, k, m));
+            }
+            for (g, e) in got.iter().zip(naive_matmul(&a, &b, n, k, m)) {
+                assert!((g - e).abs() < 1e-2 * e.abs().max(1.0));
+            }
         }
     }
 
+    /// The same on each side of `PAR_THRESHOLD_MEMBOUND` for the
+    /// memory-bound kernels: bit-identical to the per-row sequential run.
     #[test]
     fn gather_softmax_seqmax_parallel_paths_match_serial() {
+        let straddles = |below: usize, above: usize| {
+            below < PAR_THRESHOLD_MEMBOUND && above >= PAR_THRESHOLD_MEMBOUND
+        };
+        let src: Vec<f32> = (0..64 * 1024).map(|v| (v % 11) as f32 - 5.3).collect();
+
         let d = 16;
-        let rows = 64;
-        let x: Vec<f32> = (0..rows * d).map(|v| (v % 11) as f32 - 5.0).collect();
-        let idx: Vec<u32> = (0..(PAR_THRESHOLD_MEMBOUND / d + 1) as u32)
-            .map(|i| i % rows as u32)
-            .collect();
-        let serial = gather_rows(&x, d, &idx[..8]);
-        let soft_serial = softmax_rows(&x, 16, 64);
-        FORCE_PARALLEL.store(true, std::sync::atomic::Ordering::Relaxed);
-        let parallel = gather_rows(&x, d, &idx);
-        let (smx, sarg) = seq_max(&x, rows / 4, 4, d);
-        let soft_parallel = softmax_rows(&x, 16, 64);
-        FORCE_PARALLEL.store(false, std::sync::atomic::Ordering::Relaxed);
-        assert_eq!(soft_serial, soft_parallel);
-        assert_eq!(&parallel[..serial.len()], &serial[..]);
-        assert_eq!(parallel.len(), idx.len() * d);
-        // seq_max parallel output must agree with the serial run
-        let (smx2, sarg2) = seq_max(&x, rows / 4, 4, d);
-        assert_eq!(smx, smx2);
-        assert_eq!(sarg, sarg2);
+        assert!(straddles(60_000 * d, 66_000 * d));
+        for rows in [60_000usize, 66_000] {
+            let idx: Vec<u32> = (0..rows as u32).map(|i| (i * 7) % 4096).collect();
+            let got = forced_parallel(|| gather_rows(&src, d, &idx));
+            for (orow, &i) in got.chunks(d).zip(&idx) {
+                assert_eq!(orow, &src[i as usize * d..(i as usize + 1) * d]);
+            }
+        }
+
+        let m = 1024;
+        assert!(straddles(1000 * m, 1040 * m));
+        for n in [1000usize, 1040] {
+            let x: Vec<f32> = (0..n * m).map(|v| src[v % src.len()] * 0.37).collect();
+            let got = forced_parallel(|| softmax_rows(&x, n, m));
+            for (orow, xrow) in got.chunks(m).zip(x.chunks(m)) {
+                assert_eq!(orow, softmax_rows(xrow, 1, m));
+            }
+        }
+
+        let (s, d) = (64, 64);
+        assert!(straddles(250 * s * d, 260 * s * d));
+        for n in [250usize, 260] {
+            let x: Vec<f32> = (0..n * s * d).map(|v| src[(v * 13) % src.len()]).collect();
+            let (got, arg) = forced_parallel(|| seq_max(&x, n, s, d));
+            for i in 0..n {
+                let (want, want_arg) = seq_max(&x[i * s * d..(i + 1) * s * d], 1, s, d);
+                assert_eq!(got[i * d..(i + 1) * d], want);
+                assert_eq!(arg[i * d..(i + 1) * d], want_arg);
+            }
+        }
     }
 
     #[test]
@@ -536,7 +582,12 @@ mod microbench {
     use super::*;
     use std::time::Instant;
 
-    fn bench(name: &str, mut f: impl FnMut()) {
+    fn bench(name: &str, f: impl FnMut()) {
+        println!("{name:<40} {:>10.2} us/iter", secs_per_iter(f) * 1e6);
+    }
+
+    /// Mean seconds per call of `f`, over a 300 ms window after warm-up.
+    fn secs_per_iter(mut f: impl FnMut()) -> f64 {
         for _ in 0..3 {
             f();
         }
@@ -546,8 +597,74 @@ mod microbench {
             f();
             iters += 1;
         }
-        let per = start.elapsed().as_secs_f64() / iters as f64;
-        println!("{name:<40} {:>10.2} us/iter ({iters} iters)", per * 1e6);
+        start.elapsed().as_secs_f64() / iters as f64
+    }
+
+    /// The measurement `PAR_THRESHOLD` and `PAR_THRESHOLD_MEMBOUND` cite:
+    /// both arms of `matmul` at harness shapes, the dispatch cost `D` they
+    /// imply (`T_par − T_seq/c` for `c` workers: spawn, join, the eager
+    /// chunk lists, and the rows' cache lines moving to the other core and
+    /// back), the sequential rates `r`, and where the arms cross. A stage
+    /// costs `D + W/(c·r)` against `W/r`, so it only wins above
+    /// `W* = D·r·c/(c−1)`.
+    #[test]
+    #[ignore]
+    fn dispatch_cost_and_break_even() {
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        println!("host cores: {cores} (one core never dispatches: multicore() is false)");
+        let (k, m) = (32usize, 32usize);
+        let b: Vec<f32> = (0..k * m).map(|x| (x % 7) as f32 * 0.1).collect();
+        let (mut dispatch, mut mac_rate) = (0.0f64, 0.0f64);
+        for &n in &[128usize, 256, 1024] {
+            let a: Vec<f32> = (0..n * k).map(|x| (x % 13) as f32 * 0.1 - 0.5).collect();
+            assert!(
+                n * k * m < PAR_THRESHOLD,
+                "matmul must take its sequential arm"
+            );
+            let seq = secs_per_iter(|| {
+                std::hint::black_box(matmul(&a, &b, n, k, m));
+            });
+            // the parallel arm exactly as `matmul` builds it
+            let par = secs_per_iter(|| {
+                let mut c = scratch::take_zeroed(n * m);
+                c.par_chunks_mut(m).enumerate().for_each(|(i, crow)| {
+                    matmul_row(&a[i * k..(i + 1) * k], &b, crow, k, m);
+                });
+                scratch::give(std::hint::black_box(c));
+            });
+            let d = par - seq / cores as f64;
+            dispatch = dispatch.max(d);
+            mac_rate = mac_rate.max((n * k * m) as f64 / seq);
+            println!(
+                "matmul {n:>4}x{k}x{m}: sequential {:>7.2} us, parallel {:>7.2} us, dispatch {:>7.2} us",
+                seq * 1e6,
+                par * 1e6,
+                d * 1e6
+            );
+        }
+        let x: Vec<f32> = (0..1200 * 32).map(|v| v as f32).collect();
+        let idx: Vec<u32> = (0..4000u32).map(|i| i % 1200).collect();
+        assert!(idx.len() * 32 < PAR_THRESHOLD_MEMBOUND, "sequential arm");
+        let seq = secs_per_iter(|| {
+            std::hint::black_box(gather_rows(&x, 32, &idx));
+        });
+        let copy_rate = (idx.len() * 32) as f64 / seq;
+        println!(
+            "sequential rates: {:.2} MAC/ns (matmul), {:.2} f32/ns (gather 4000x32)",
+            mac_rate * 1e-9,
+            copy_rate * 1e-9
+        );
+        // two workers is the lowest crossing of any host that dispatches
+        let c = cores.max(2) as f64;
+        let scale = dispatch * c / (c - 1.0) / 1024.0;
+        println!(
+            "break-even at {c} workers: {:.0} Ki MACs (PAR_THRESHOLD = {} Ki), \
+             {:.0} Ki f32 (PAR_THRESHOLD_MEMBOUND = {} Ki)",
+            scale * mac_rate,
+            PAR_THRESHOLD / 1024,
+            scale * copy_rate,
+            PAR_THRESHOLD_MEMBOUND / 1024,
+        );
     }
 
     #[test]

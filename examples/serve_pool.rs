@@ -98,16 +98,14 @@ fn main() {
 
     // ── queries coalesce: 3 requests, ONE batched forward ───────────────
     let clock = VirtualClock::new();
-    let mut coalescer = EncodeCoalescer::new(CoalescerConfig {
-        max_batch: 8,
-        max_wait: 2,
-    });
+    let mut coalescer = EncodeCoalescer::new(CoalescerConfig { max_batch: 8 });
     let tickets: Vec<_> = query_graphs
         .iter()
         .map(|g| coalescer.submit(&model, g.clone(), &clock))
         .collect();
-    clock.advance(2); // the max_wait deadline passes…
-    coalescer.pump(&model, &clock); // …and the timer flush fires
+    // nothing else is arriving: flush what queued instead of holding it
+    // (the Server's encode worker does this whenever its channel is empty)
+    coalescer.flush(&model);
     println!(
         "\ncoalesced {} queries into {} batched forward(s) (mean fill {:.1})",
         coalescer.stats().encoded,
