@@ -51,6 +51,13 @@ impl fmt::Display for ArtifactError {
     }
 }
 
+impl ArtifactError {
+    /// True when the bytes are wrong (vs. I/O failing to reach them).
+    pub fn is_corruption(&self) -> bool {
+        !matches!(self, ArtifactError::Io(_))
+    }
+}
+
 impl std::error::Error for ArtifactError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {

@@ -11,26 +11,35 @@
 //!             (kind, shard, offset, len, payload crc32) · TOC crc32
 //! page edge   section 0 payload   (page-aligned, zero-padded to page)
 //! page edge   section 1 payload
-//! ...
+//! ...         per-shard sections, then the optional index-level
+//!             TOKENIZER and MODEL sections (filed under shard 0)
 //! ```
+//!
+//! The same file is the serving image a reader maps and the checkpoint a
+//! durable server recovers from: the tokenizer and model sections are
+//! decoded (they are small and owned by the model stack), everything else
+//! is served in place.
 //!
 //! Opening an artifact checksums only the header and TOC — O(sections),
 //! independent of pool size — so cold start is bounded by page faults, not
-//! deserialization. Full payload verification ([`ArtifactView::verify`]) is
-//! a separate, explicit pass for writers and CI golden tests. The layout is
+//! deserialization. Full verification ([`ArtifactView::verify`]: every
+//! payload checksum, every padding byte zero) is a separate, explicit pass
+//! for writers, recovery and CI golden tests. The layout is
 //! native-little-endian by construction; a byte-order mark turns foreign
 //! files into a typed [`ArtifactError::Endian`] instead of silent garbage.
 
 use crate::cast::cast_slice;
 use crate::error::ArtifactError;
-use gbm_store::codec::Writer;
-use gbm_store::{crc32, PrecisionTag};
+use gbm_store::codec::{Reader, Writer};
+use gbm_store::{crc32, StoreError};
 
 /// Leading magic: "GBMART2\0".
 pub const ARTIFACT_MAGIC: [u8; 8] = *b"GBMART2\0";
 
-/// Format version. v1 is the decode-style snapshot in `gbm-store`; the
-/// page-aligned zero-copy layout starts the artifact line at 2.
+/// Format version. Version 1 was a decode-style snapshot format that no
+/// longer exists; the page-aligned zero-copy layout is 2. The index-level
+/// section kinds are additive: a reader that predates them refuses them as
+/// an unknown kind, a typed error.
 pub const ARTIFACT_VERSION: u32 = 2;
 
 /// Byte-order mark, read back with native endianness: a big-endian reader
@@ -49,7 +58,8 @@ pub const TOC_ENTRY_LEN: usize = 32;
 
 /// Section kinds. Per shard, `Ids`/`Rows` are always present (possibly
 /// empty); the quant quadruple appears iff the shard carries an int8
-/// mirror; the IVF quintuple iff its cell index is trained.
+/// mirror; the IVF quintuple iff its cell index is trained. `Tokenizer` and
+/// `Model` are index-level: at most one each, filed under shard 0.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 #[repr(u32)]
 pub enum SectionKind {
@@ -75,6 +85,10 @@ pub enum SectionKind {
     IvfMembers = 10,
     /// Cell id per row, u32.
     IvfCellOf = 11,
+    /// The tokenizer vocabulary ([`TokenizerData`]).
+    Tokenizer = 12,
+    /// The model config words and weights ([`ModelData`]).
+    Model = 13,
 }
 
 impl SectionKind {
@@ -91,9 +105,59 @@ impl SectionKind {
             9 => SectionKind::IvfOffsets,
             10 => SectionKind::IvfMembers,
             11 => SectionKind::IvfCellOf,
+            12 => SectionKind::Tokenizer,
+            13 => SectionKind::Model,
             _ => return None,
         })
     }
+}
+
+/// Scan precision recorded in the header, mirroring the serving layer's
+/// `ScanPrecision` without depending on it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum PrecisionTag {
+    /// Exact f32 scans.
+    F32,
+    /// Int8 coarse scan with widened exact re-rank.
+    Int8 {
+        /// Re-rank widening factor.
+        widen: u32,
+    },
+    /// IVF approximate scan: probe `nprobe` coarse cells over the int8
+    /// mirror, exact-re-rank `widen · k` survivors. `cells` is the
+    /// configured per-shard cell count (0 = auto).
+    Ivf {
+        /// Probed cells per shard per query.
+        nprobe: u32,
+        /// Re-rank widening factor.
+        widen: u32,
+        /// Configured cells per shard (0 = auto `≈√rows`).
+        cells: u32,
+    },
+}
+
+/// Tokenizer vocabulary as plain data (the [`SectionKind::Tokenizer`]
+/// payload).
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct TokenizerData {
+    /// Fixed token-sequence length.
+    pub seq_len: u32,
+    /// Whether variable names are normalized to a shared token.
+    pub normalize_vars: bool,
+    /// `(token, id)` pairs, sorted by id.
+    pub entries: Vec<(String, u32)>,
+}
+
+/// Model hyperparameters and flat weights as plain data (the
+/// [`SectionKind::Model`] payload). The serving layer owns the meaning of
+/// the config words; the format only promises to return them
+/// bit-identically.
+#[derive(Clone, Debug, PartialEq)]
+pub struct ModelData {
+    /// Opaque config words (hyperparameters, enum tags, float bits).
+    pub config: Vec<u64>,
+    /// Flat parameter snapshot.
+    pub weights: Vec<f32>,
 }
 
 /// Index-level metadata carried in the fixed header.
@@ -104,7 +168,8 @@ pub struct ArtifactMeta {
     /// The index's configured encode batch (round-tripped for config
     /// fidelity, not used by reads).
     pub encode_batch: usize,
-    /// Row width shared by every shard.
+    /// Row width shared by every shard (0 only for an index that never
+    /// held a row).
     pub hidden: usize,
     /// Scan precision the index was configured with.
     pub precision: PrecisionTag,
@@ -209,40 +274,45 @@ fn precision_from_fields(
     })
 }
 
-/// Raw little-endian bytes of a typed slice (the writer-side copy; readers
-/// never copy).
-fn slice_bytes_u64(v: &[u64]) -> Vec<u8> {
+/// The little-endian payload bytes `fill` writes (the writer-side copy;
+/// readers never copy).
+fn payload(fill: impl FnOnce(&mut Writer)) -> Vec<u8> {
     let mut w = Writer::new();
-    w.u64_slice(v);
+    fill(&mut w);
     w.into_bytes()
 }
 
-fn slice_bytes_f32(v: &[f32]) -> Vec<u8> {
-    let mut w = Writer::new();
-    w.f32_slice(v);
-    w.into_bytes()
+fn tokenizer_bytes(t: &TokenizerData) -> Vec<u8> {
+    payload(|w| {
+        w.u32(t.seq_len);
+        w.u8(t.normalize_vars as u8);
+        w.u32(t.entries.len() as u32);
+        for (token, id) in &t.entries {
+            w.str(token);
+            w.u32(*id);
+        }
+    })
 }
 
-fn slice_bytes_u32(v: &[u32]) -> Vec<u8> {
-    let mut w = Writer::new();
-    for &x in v {
-        w.u32(x);
-    }
-    w.into_bytes()
+fn model_bytes(m: &ModelData) -> Vec<u8> {
+    payload(|w| {
+        w.u64(m.config.len() as u64);
+        w.u64_slice(&m.config);
+        w.f32_slice(&m.weights);
+    })
 }
 
-fn slice_bytes_i8(v: &[i8]) -> Vec<u8> {
-    let mut w = Writer::new();
-    w.i8_slice(v);
-    w.into_bytes()
-}
-
-/// Encodes an index into v2 artifact bytes. Panics on internally
-/// inconsistent inputs (wrong matrix sizes) — the writer owns its data and
-/// a mismatch is a bug, not an IO condition.
-pub fn encode_artifact(meta: &ArtifactMeta, shards: &[ArtifactShard]) -> Vec<u8> {
+/// Encodes an index — plus, optionally, the tokenizer and model that feed
+/// it — into v2 artifact bytes. Panics on internally inconsistent inputs
+/// (wrong matrix sizes) — the writer owns its data and a mismatch is a
+/// bug, not an IO condition.
+pub fn encode_artifact(
+    meta: &ArtifactMeta,
+    shards: &[ArtifactShard],
+    tokenizer: Option<&TokenizerData>,
+    model: Option<&ModelData>,
+) -> Vec<u8> {
     assert_eq!(shards.len(), meta.num_shards, "one entry per shard");
-    assert!(meta.hidden > 0, "hidden must be positive");
     assert!(meta.num_shards > 0, "at least one shard");
     assert!(meta.num_shards <= u32::MAX as usize, "shard count fits u32");
 
@@ -250,14 +320,17 @@ pub fn encode_artifact(meta: &ArtifactMeta, shards: &[ArtifactShard]) -> Vec<u8>
     let mut payloads: Vec<(SectionKind, u32, Vec<u8>)> = Vec::new();
     for (s, shard) in shards.iter().enumerate() {
         let n = shard.ids.len();
+        assert!(meta.hidden > 0 || n == 0, "shard {s}: rows need a width");
         assert_eq!(
             shard.rows.len(),
             n * meta.hidden,
             "shard {s}: rows must be a whole [n x hidden] matrix"
         );
-        let s32 = s as u32;
-        payloads.push((SectionKind::Ids, s32, slice_bytes_u64(shard.ids)));
-        payloads.push((SectionKind::Rows, s32, slice_bytes_f32(shard.rows)));
+        let mut push = |kind, fill: &dyn Fn(&mut Writer)| {
+            payloads.push((kind, s as u32, payload(fill)));
+        };
+        push(SectionKind::Ids, &|w| w.u64_slice(shard.ids));
+        push(SectionKind::Rows, &|w| w.f32_slice(shard.rows));
         if let Some(q) = &shard.quant {
             assert_eq!(q.codes.len(), n * meta.hidden, "shard {s}: quant codes");
             assert_eq!(q.scales.len(), n, "shard {s}: quant scales");
@@ -266,14 +339,12 @@ pub fn encode_artifact(meta: &ArtifactMeta, shards: &[ArtifactShard]) -> Vec<u8>
                 q.block_l1.len(),
                 "shard {s}: block bound arrays"
             );
-            payloads.push((SectionKind::QuantCodes, s32, slice_bytes_i8(q.codes)));
-            payloads.push((SectionKind::QuantScales, s32, slice_bytes_f32(q.scales)));
-            payloads.push((
-                SectionKind::QuantBlockScale,
-                s32,
-                slice_bytes_f32(q.block_scale),
-            ));
-            payloads.push((SectionKind::QuantBlockL1, s32, slice_bytes_f32(q.block_l1)));
+            push(SectionKind::QuantCodes, &|w| w.i8_slice(q.codes));
+            push(SectionKind::QuantScales, &|w| w.f32_slice(q.scales));
+            push(SectionKind::QuantBlockScale, &|w| {
+                w.f32_slice(q.block_scale)
+            });
+            push(SectionKind::QuantBlockL1, &|w| w.f32_slice(q.block_l1));
         }
         if let Some(ivf) = &shard.ivf {
             let ncells = ivf.sqnorms.len();
@@ -291,16 +362,18 @@ pub fn encode_artifact(meta: &ArtifactMeta, shards: &[ArtifactShard]) -> Vec<u8>
             );
             assert_eq!(ivf.members.len(), n, "shard {s}: every row in a cell");
             assert_eq!(ivf.cell_of.len(), n, "shard {s}: cell_of per row");
-            payloads.push((
-                SectionKind::IvfCentroids,
-                s32,
-                slice_bytes_f32(ivf.centroids),
-            ));
-            payloads.push((SectionKind::IvfSqnorms, s32, slice_bytes_f32(ivf.sqnorms)));
-            payloads.push((SectionKind::IvfOffsets, s32, slice_bytes_u32(ivf.offsets)));
-            payloads.push((SectionKind::IvfMembers, s32, slice_bytes_u32(ivf.members)));
-            payloads.push((SectionKind::IvfCellOf, s32, slice_bytes_u32(ivf.cell_of)));
+            push(SectionKind::IvfCentroids, &|w| w.f32_slice(ivf.centroids));
+            push(SectionKind::IvfSqnorms, &|w| w.f32_slice(ivf.sqnorms));
+            push(SectionKind::IvfOffsets, &|w| w.u32_slice(ivf.offsets));
+            push(SectionKind::IvfMembers, &|w| w.u32_slice(ivf.members));
+            push(SectionKind::IvfCellOf, &|w| w.u32_slice(ivf.cell_of));
         }
+    }
+    if let Some(t) = tokenizer {
+        payloads.push((SectionKind::Tokenizer, 0, tokenizer_bytes(t)));
+    }
+    if let Some(m) = model {
+        payloads.push((SectionKind::Model, 0, model_bytes(m)));
     }
 
     // lay out: header · TOC · TOC crc, then each payload at a page edge
@@ -399,6 +472,12 @@ impl<'a> ArtifactView<'a> {
                 what: "header".to_string(),
             });
         }
+        // the reserved word sits outside the header crc: pin it instead
+        if read_u32(bytes, 60) != 0 {
+            return Err(ArtifactError::Malformed {
+                what: "reserved header word is not zero".to_string(),
+            });
+        }
         let num_shards = read_u32(bytes, 16) as usize;
         let encode_batch = read_u32(bytes, 20) as usize;
         let hidden = read_u32(bytes, 24) as usize;
@@ -410,9 +489,9 @@ impl<'a> ArtifactView<'a> {
         )?;
         let section_count = read_u32(bytes, 44) as usize;
         let last_seq = read_u64(bytes, 48);
-        if num_shards == 0 || hidden == 0 {
+        if num_shards == 0 {
             return Err(ArtifactError::Malformed {
-                what: format!("degenerate header: {num_shards} shards, hidden {hidden}"),
+                what: "degenerate header: 0 shards".to_string(),
             });
         }
         let toc_end = HEADER_LEN
@@ -434,6 +513,8 @@ impl<'a> ArtifactView<'a> {
                 what: "toc".to_string(),
             });
         }
+        let data_start = align_up(toc_end, PAGE_ALIGN);
+        let mut file_end = data_start;
         let mut sections = Vec::with_capacity(section_count);
         for i in 0..section_count {
             let at = HEADER_LEN + i * TOC_ENTRY_LEN;
@@ -445,14 +526,15 @@ impl<'a> ArtifactView<'a> {
             let offset = read_u64(bytes, at + 8) as usize;
             let len = read_u64(bytes, at + 16) as usize;
             let crc = read_u32(bytes, at + 24);
-            if shard as usize >= num_shards {
+            let index_level = matches!(kind, SectionKind::Tokenizer | SectionKind::Model);
+            if shard as usize >= num_shards || (index_level && shard != 0) {
                 return Err(ArtifactError::Malformed {
-                    what: format!("toc entry {i}: shard {shard} out of range"),
+                    what: format!("toc entry {i}: shard {shard} out of range for {kind:?}"),
                 });
             }
-            if !offset.is_multiple_of(PAGE_ALIGN) {
+            if !offset.is_multiple_of(PAGE_ALIGN) || offset < data_start {
                 return Err(ArtifactError::Malformed {
-                    what: format!("toc entry {i}: offset {offset} is not page-aligned"),
+                    what: format!("toc entry {i}: offset {offset} is not a payload page edge"),
                 });
             }
             let end = offset
@@ -473,12 +555,20 @@ impl<'a> ArtifactView<'a> {
                     what: format!("duplicate section {kind:?} for shard {shard}"),
                 });
             }
+            file_end = file_end.max(align_up(end, PAGE_ALIGN));
             sections.push(Section {
                 kind,
                 shard,
                 offset,
                 len,
                 crc,
+            });
+        }
+        // the writer pads the last payload to a page edge and stops: any
+        // other length is a file grown or cut after the fact
+        if bytes.len() != file_end {
+            return Err(ArtifactError::Malformed {
+                what: format!("{} bytes, but the sections end at {file_end}", bytes.len()),
             });
         }
         Ok(ArtifactView {
@@ -511,9 +601,13 @@ impl<'a> ArtifactView<'a> {
         (self.meta, self.sections)
     }
 
-    /// Checksums every payload section — the explicit full-integrity pass
-    /// (writers after publish, golden tests, drills). Not run on open, so
-    /// cold start stays O(sections) + page faults.
+    /// Checksums every payload section and checks that every byte no
+    /// section claims (the TOC's tail to the first page edge, each
+    /// payload's tail to its page edge) is still the zero the writer
+    /// wrote, so a file that verifies is byte-for-byte one the writer
+    /// produced — the explicit full-integrity pass (writers after publish,
+    /// recovery, golden tests, drills). Not run on open, so cold start
+    /// stays O(sections) + page faults.
     pub fn verify(&self) -> Result<(), ArtifactError> {
         for e in &self.sections {
             let payload = &self.bytes[e.offset..e.offset + e.len];
@@ -523,6 +617,22 @@ impl<'a> ArtifactView<'a> {
                 });
             }
         }
+        let mut claimed: Vec<(usize, usize)> = self
+            .sections
+            .iter()
+            .map(|e| (e.offset, e.offset + e.len))
+            .collect();
+        claimed.sort_unstable();
+        let end = self.bytes.len();
+        let mut cursor = HEADER_LEN + self.sections.len() * TOC_ENTRY_LEN + 4;
+        for (start, stop) in claimed.into_iter().chain([(end, end)]) {
+            if self.bytes[cursor.min(start)..start].iter().any(|&b| b != 0) {
+                return Err(ArtifactError::Malformed {
+                    what: format!("non-zero padding between bytes {cursor} and {start}"),
+                });
+            }
+            cursor = cursor.max(stop);
+        }
         Ok(())
     }
 
@@ -531,6 +641,73 @@ impl<'a> ArtifactView<'a> {
     pub fn shard(&self, s: usize) -> Result<ArtifactShard<'a>, ArtifactError> {
         resolve_shard(self.bytes, &self.meta, &self.sections, s)
     }
+
+    /// Decodes the tokenizer section, `None` when the artifact has none.
+    pub fn tokenizer(&self) -> Result<Option<TokenizerData>, ArtifactError> {
+        section_bytes(self.bytes, &self.sections, SectionKind::Tokenizer, 0)
+            .map(|payload| decode_tokenizer(payload).map_err(codec_error))
+            .transpose()
+    }
+
+    /// Decodes the model section, `None` when the artifact has none.
+    pub fn model(&self) -> Result<Option<ModelData>, ArtifactError> {
+        section_bytes(self.bytes, &self.sections, SectionKind::Model, 0)
+            .map(|payload| decode_model(payload).map_err(codec_error))
+            .transpose()
+    }
+}
+
+/// A decode failure inside an index-level payload, in the artifact's
+/// error vocabulary.
+fn codec_error(e: StoreError) -> ArtifactError {
+    match e {
+        StoreError::Truncated { what } => ArtifactError::Truncated { what },
+        other => ArtifactError::Malformed {
+            what: other.to_string(),
+        },
+    }
+}
+
+fn no_trailing_bytes(r: &Reader, what: &str) -> Result<(), StoreError> {
+    match r.remaining() {
+        0 => Ok(()),
+        n => Err(StoreError::Malformed {
+            what: format!("{what} section has {n} trailing bytes"),
+        }),
+    }
+}
+
+fn decode_tokenizer(payload: &[u8]) -> Result<TokenizerData, StoreError> {
+    let mut r = Reader::new(payload);
+    let seq_len = r.u32("tokenizer seq_len")?;
+    let normalize_vars = match r.u8("tokenizer normalize flag")? {
+        0 => false,
+        1 => true,
+        other => {
+            return Err(StoreError::Malformed {
+                what: format!("tokenizer normalize flag {other}"),
+            })
+        }
+    };
+    let n = r.u32("tokenizer entry count")?;
+    let entries = (0..n)
+        .map(|_| Ok((r.str("tokenizer token")?, r.u32("tokenizer token id")?)))
+        .collect::<Result<Vec<_>, StoreError>>()?;
+    no_trailing_bytes(&r, "tokenizer")?;
+    Ok(TokenizerData {
+        seq_len,
+        normalize_vars,
+        entries,
+    })
+}
+
+fn decode_model(payload: &[u8]) -> Result<ModelData, StoreError> {
+    let mut r = Reader::new(payload);
+    let n_config = r.u64("model config word count")?;
+    let config = r.u64_vec(n_config as usize, "model config words")?;
+    let weights = r.f32_vec(r.remaining() / 4, "model weights")?;
+    no_trailing_bytes(&r, "model")?;
+    Ok(ModelData { config, weights })
 }
 
 fn section_bytes<'a>(
@@ -571,7 +748,7 @@ pub fn resolve_shard<'a>(
     let ids: &[u64] = cast_slice(ids_raw, "ids")?;
     let rows: &[f32] = cast_slice(rows_raw, "rows")?;
     let n = ids.len();
-    if rows.len() != n * meta.hidden {
+    if rows.len() != n * meta.hidden || (meta.hidden == 0 && n > 0) {
         return Err(ArtifactError::Malformed {
             what: format!(
                 "shard {s}: {} row f32s for {n} ids at hidden {}",
@@ -618,6 +795,17 @@ pub fn resolve_shard<'a>(
             })
         }
     };
+
+    // the int8 and IVF scan kernels read the mirror unconditionally: a
+    // populated shard of a quantized index must carry one
+    if quant.is_none() && n > 0 && meta.precision != PrecisionTag::F32 {
+        return Err(ArtifactError::Malformed {
+            what: format!(
+                "shard {s}: {n} rows at {:?} but no int8 mirror",
+                meta.precision
+            ),
+        });
+    }
 
     let ivf = match section_bytes(bytes, sections, SectionKind::IvfCentroids, s) {
         None => None,
@@ -692,7 +880,23 @@ mod tests {
         }
     }
 
-    /// Two shards: one with quant + ivf, one bare (rows only).
+    fn sample_tokenizer() -> TokenizerData {
+        TokenizerData {
+            seq_len: 16,
+            normalize_vars: true,
+            entries: vec![("<pad>".into(), 0), ("mov".into(), 4), ("añadir".into(), 5)],
+        }
+    }
+
+    fn sample_model() -> ModelData {
+        ModelData {
+            config: vec![64, 32, 3, 2, 0x3F00_0000, 7],
+            weights: vec![0.1, -0.2, 0.3, -0.0],
+        }
+    }
+
+    /// Two shards — one with quant + ivf, one with quant only — plus the
+    /// index-level tokenizer and model sections.
     fn sample_bytes() -> Vec<u8> {
         let meta = sample_meta();
         let ids0: Vec<u64> = vec![10, 11, 12];
@@ -708,6 +912,9 @@ mod tests {
         let cell_of0 = vec![0u32, 1, 0];
         let ids1: Vec<u64> = vec![99];
         let rows1 = vec![1.0f32, -1.0, 0.5];
+        let codes1: Vec<i8> = vec![127, -127, 64];
+        let scale1 = vec![0.007_874_016f32];
+        let l11 = vec![2.5f32];
         let shards = [
             ArtifactShard {
                 ids: &ids0,
@@ -729,11 +936,21 @@ mod tests {
             ArtifactShard {
                 ids: &ids1,
                 rows: &rows1,
-                quant: None,
+                quant: Some(ArtifactQuant {
+                    codes: &codes1,
+                    scales: &scale1,
+                    block_scale: &scale1,
+                    block_l1: &l11,
+                }),
                 ivf: None,
             },
         ];
-        encode_artifact(&meta, &shards)
+        encode_artifact(
+            &meta,
+            &shards,
+            Some(&sample_tokenizer()),
+            Some(&sample_model()),
+        )
     }
 
     #[test]
@@ -760,8 +977,12 @@ mod tests {
         assert_eq!(ivf.members, &[0, 2, 1]);
         let s1 = view.shard(1).unwrap();
         assert_eq!(s1.ids, &[99]);
-        assert!(s1.quant.is_none() && s1.ivf.is_none());
+        assert!(s1.quant.is_some() && s1.ivf.is_none());
         assert!(view.shard(2).is_err(), "shard index is range-checked");
+        assert_eq!(view.tokenizer().unwrap(), Some(sample_tokenizer()));
+        let model = view.model().unwrap().unwrap();
+        assert_eq!(model, sample_model());
+        assert!(model.weights[3].is_sign_negative(), "-0.0 is bit-exact");
     }
 
     #[test]
@@ -787,10 +1008,11 @@ mod tests {
                 ivf: None,
             },
         ];
-        let bytes = encode_artifact(&meta, &shards);
+        let bytes = encode_artifact(&meta, &shards, None, None);
         let map = HeapMap::from_bytes(&bytes);
         let view = ArtifactView::parse(map.bytes()).unwrap();
         view.verify().unwrap();
+        assert!(view.tokenizer().unwrap().is_none() && view.model().unwrap().is_none());
         let s0 = view.shard(0).unwrap();
         assert!(s0.ids.is_empty() && s0.rows.is_empty());
         let s1 = view.shard(1).unwrap();
@@ -855,6 +1077,21 @@ mod tests {
                 e.shard
             );
         }
+        // padding flip (TOC tail, then the last payload's tail) → parse
+        // succeeds, verify() catches it
+        for at in [
+            HEADER_LEN + view.sections().len() * TOC_ENTRY_LEN + 4,
+            good.len() - 1,
+        ] {
+            let mut b = good.clone();
+            b[at] ^= 0x01;
+            let m = HeapMap::from_bytes(&b);
+            let v = ArtifactView::parse(m.bytes()).unwrap();
+            assert!(
+                matches!(v.verify(), Err(ArtifactError::Malformed { .. })),
+                "padding flip at {at} undetected"
+            );
+        }
         // truncation mid-payload
         let m = HeapMap::from_bytes(&good[..good.len() - PAGE_ALIGN]);
         assert!(ArtifactView::parse(m.bytes()).is_err());
@@ -884,7 +1121,7 @@ mod tests {
                 cell_of: &[0, 0],
             }),
         }];
-        let bytes = encode_artifact(&meta, &shards);
+        let bytes = encode_artifact(&meta, &shards, None, None);
         let map = HeapMap::from_bytes(&bytes);
         let view = ArtifactView::parse(map.bytes()).unwrap();
         assert!(matches!(

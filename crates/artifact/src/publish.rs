@@ -1,18 +1,21 @@
 //! The single-writer / multi-reader publish protocol.
 //!
-//! The writer checkpoints each generation to `artifact-<seq>.gbm` via the
-//! only crash-safe file dance POSIX offers — write a temp file, `fsync` it,
-//! `rename(2)` into place — then swings a `CURRENT` pointer file (itself
-//! tmp→fsync→rename'd) at the new name. Readers poll `CURRENT`: because
-//! both renames are atomic, a reader observes either the previous complete
-//! generation or the next complete generation, never a torn file, no
-//! matter where the writer dies. Sequence numbers are zero-padded to 20
-//! digits so lexicographic directory order equals publish order (the same
-//! convention as the v1 `snap-<seq>.gbms` snapshots).
+//! The writer lands each generation as `artifact-<seq>.gbm` and then
+//! swings a `CURRENT` pointer file at the new name, both through
+//! [`Storage::write_atomic`] — for [`gbm_store::FileStorage`] the only
+//! crash-safe file dance POSIX offers: write a temp file, `fsync` it,
+//! `rename(2)` it into place, `fsync` the directory. Readers poll
+//! `CURRENT`: because both renames are atomic, a reader observes either
+//! the previous complete generation or the next complete generation,
+//! never a torn file, no matter where the writer dies. Sequence numbers
+//! are zero-padded to 20 digits so lexicographic directory order equals
+//! publish order.
 
-use std::fs::{self, File};
-use std::io::{self, Write};
+use std::fs;
+use std::io;
 use std::path::{Path, PathBuf};
+
+use gbm_store::Storage;
 
 /// The pointer file naming the live artifact generation.
 pub const CURRENT_FILE: &str = "CURRENT";
@@ -34,31 +37,19 @@ pub fn parse_artifact_seq(name: &str) -> Option<u64> {
     digits.parse().ok()
 }
 
-fn write_atomic(dir: &Path, name: &str, bytes: &[u8]) -> io::Result<PathBuf> {
-    let final_path = dir.join(name);
-    let tmp = dir.join(format!("{name}.tmp"));
-    {
-        let mut f = File::create(&tmp)?;
-        f.write_all(bytes)?;
-        f.sync_all()?;
-    }
-    fs::rename(&tmp, &final_path)?;
-    Ok(final_path)
-}
-
 /// Publishes one generation: the artifact lands atomically, then `CURRENT`
 /// swings to it. Returns the published artifact path. Killing the writer
 /// at any point leaves readers on the previous complete generation.
-pub fn publish_artifact(dir: &Path, seq: u64, bytes: &[u8]) -> io::Result<PathBuf> {
-    fs::create_dir_all(dir)?;
+pub fn publish_artifact(
+    storage: &dyn Storage,
+    dir: &Path,
+    seq: u64,
+    bytes: &[u8],
+) -> io::Result<PathBuf> {
     let name = artifact_file_name(seq);
-    let path = write_atomic(dir, &name, bytes)?;
-    write_atomic(dir, CURRENT_FILE, format!("{name}\n").as_bytes())?;
-    // best-effort directory fsync so the renames themselves are durable
-    #[cfg(unix)]
-    if let Ok(d) = File::open(dir) {
-        let _ = d.sync_all();
-    }
+    let path = dir.join(&name);
+    storage.write_atomic(&path, bytes)?;
+    storage.write_atomic(&dir.join(CURRENT_FILE), format!("{name}\n").as_bytes())?;
     Ok(path)
 }
 
@@ -103,6 +94,7 @@ pub fn reap_artifacts(dir: &Path, keep_from: u64) -> io::Result<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gbm_store::FileStorage;
 
     fn temp_dir(tag: &str) -> PathBuf {
         let dir =
@@ -125,7 +117,10 @@ mod tests {
             assert_eq!(parse_artifact_seq(&names[i]), Some(seq));
         }
         assert_eq!(parse_artifact_seq("artifact-12.gbm"), None, "unpadded");
-        assert_eq!(parse_artifact_seq("snap-00000000000000000001.gbms"), None);
+        assert_eq!(
+            parse_artifact_seq("artifact-00000000000000000001.gbm.tmp"),
+            None
+        );
         assert_eq!(parse_artifact_seq(CURRENT_FILE), None);
     }
 
@@ -133,11 +128,11 @@ mod tests {
     fn publish_then_read_current_tracks_the_latest_generation() {
         let dir = temp_dir("latest");
         assert_eq!(read_current(&dir).unwrap(), None);
-        publish_artifact(&dir, 1, b"gen one").unwrap();
+        publish_artifact(&FileStorage::new(), &dir, 1, b"gen one").unwrap();
         let (seq, path) = read_current(&dir).unwrap().unwrap();
         assert_eq!(seq, 1);
         assert_eq!(fs::read(&path).unwrap(), b"gen one");
-        publish_artifact(&dir, 2, b"gen two").unwrap();
+        publish_artifact(&FileStorage::new(), &dir, 2, b"gen two").unwrap();
         let (seq, path) = read_current(&dir).unwrap().unwrap();
         assert_eq!(seq, 2);
         assert_eq!(fs::read(&path).unwrap(), b"gen two");
@@ -160,7 +155,7 @@ mod tests {
     #[test]
     fn stray_tmp_files_do_not_confuse_the_reader() {
         let dir = temp_dir("tmp");
-        publish_artifact(&dir, 3, b"published").unwrap();
+        publish_artifact(&FileStorage::new(), &dir, 3, b"published").unwrap();
         // simulate a writer killed mid-publish of the next generation
         fs::write(dir.join(format!("{}.tmp", artifact_file_name(4))), b"torn").unwrap();
         fs::write(dir.join("CURRENT.tmp"), b"torn pointer").unwrap();

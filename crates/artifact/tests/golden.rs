@@ -2,7 +2,9 @@
 //! directions.
 //!
 //! `tests/data/golden_v2.gbm` is a committed encoding of a fixed index
-//! state. The test fails the moment `encode_artifact` produces different
+//! state, tokenizer and model — every section kind the format has. It is
+//! the workspace's one golden file: the artifact is the only on-disk index
+//! format. The test fails the moment `encode_artifact` produces different
 //! bytes for the same data, or the moment the committed bytes parse,
 //! verify, or resolve differently — i.e. the moment an innocent-looking
 //! change breaks every already-published artifact in the field. A
@@ -17,9 +19,8 @@ use std::path::PathBuf;
 
 use gbm_artifact::{
     encode_artifact, ArtifactIvf, ArtifactMap, ArtifactMeta, ArtifactQuant, ArtifactShard,
-    ArtifactView, HeapMap, PAGE_ALIGN,
+    ArtifactView, HeapMap, ModelData, PrecisionTag, SectionKind, TokenizerData, PAGE_ALIGN,
 };
-use gbm_store::PrecisionTag;
 
 fn golden_path() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/data/golden_v2.gbm")
@@ -44,11 +45,14 @@ struct GoldenData {
     scales2: Vec<f32>,
     block_scale2: Vec<f32>,
     block_l12: Vec<f32>,
+    tokenizer: TokenizerData,
+    model: ModelData,
 }
 
 /// A fixed three-shard index exercising every section kind and edge: a
 /// shard with quant + trained IVF, a completely empty shard, and a
-/// quant-only shard; negative floats, -0.0, and full-range codes included.
+/// quant-only shard; negative floats, -0.0, and full-range codes included;
+/// then the index-level tokenizer (a non-ASCII token) and model sections.
 fn golden_data() -> GoldenData {
     GoldenData {
         meta: ArtifactMeta {
@@ -84,6 +88,15 @@ fn golden_data() -> GoldenData {
         scales2: vec![0.007_874_016],
         block_scale2: vec![0.007_874_016],
         block_l12: vec![2.75],
+        tokenizer: TokenizerData {
+            seq_len: 16,
+            normalize_vars: true,
+            entries: vec![("<pad>".into(), 0), ("mov".into(), 4), ("añadir".into(), 5)],
+        },
+        model: ModelData {
+            config: vec![64, 32, 3, 2, 0x3F00_0000, 7],
+            weights: vec![0.1, -0.2, 0.3, -0.0],
+        },
     }
 }
 
@@ -124,7 +137,7 @@ fn encode(d: &GoldenData) -> Vec<u8> {
             ivf: None,
         },
     ];
-    encode_artifact(&d.meta, &shards)
+    encode_artifact(&d.meta, &shards, Some(&d.tokenizer), Some(&d.model))
 }
 
 #[test]
@@ -187,4 +200,15 @@ fn golden_v2_bytes_are_stable_in_both_directions() {
     assert_eq!(s2.rows, &data.rows2[..]);
     assert_eq!(s2.quant.expect("shard 2 quant").codes, &data.codes2[..]);
     assert!(s2.ivf.is_none());
+
+    let last = &view.sections()[view.sections().len() - 2..];
+    assert_eq!(
+        last.iter().map(|e| (e.kind, e.shard)).collect::<Vec<_>>(),
+        [(SectionKind::Tokenizer, 0), (SectionKind::Model, 0)],
+        "index-level sections close the file, filed under shard 0"
+    );
+    assert_eq!(view.tokenizer().unwrap(), Some(data.tokenizer));
+    let model = view.model().unwrap().expect("model section");
+    assert_eq!(model, data.model);
+    assert!(model.weights[3].is_sign_negative(), "-0.0 survives");
 }

@@ -13,6 +13,8 @@
 //!   encoders over linearized IR with a triplet loss,
 //! * [`licca`] — LICCA: source-level unified-AST similarity.
 
+#![forbid(unsafe_code)]
+
 pub mod b2sfinder;
 pub mod binpro;
 pub mod features;

@@ -1,15 +1,25 @@
-//! probe_artifact: the multi-process serving drill over real files and
-//! real processes — the v2 artifact's two promises, measured and asserted.
+//! probe_artifact: the persistence drill over real files and real
+//! processes — the v2 artifact's three promises, measured and asserted.
 //!
 //! **1. Cold start is a map, not a decode.** A MiniC pool is encoded once
 //! and published as a v2 artifact; the probe then times
 //! `ReadOnlyIndex::open` (header + TOC checksum, structural validation,
 //! zero payload decode) against re-encoding the same pool through the GNN
 //! encoder — the only way to rebuild the index without persisted state —
-//! and asserts the ≥10× speedup the format exists for (same gate shape as
-//! `probe_recover`'s snapshot+WAL cold start).
+//! and asserts the ≥10× speedup the format exists for.
 //!
-//! **2. Readers survive a writer kill mid-publish.** The probe re-execs
+//! **2. A durable server survives a crash-kill.** Session 1 boots a
+//! durable server on an empty directory, inserts the first half of the
+//! pool's embeddings (every op WAL-logged), shuts down cleanly and
+//! checkpoints offline (an artifact generation + WAL compaction). Session 2
+//! boots from that checkpoint, inserts the second half, removes every 5th
+//! id, and is dropped without shutdown with torn junk appended to the WAL,
+//! as a kill mid-append leaves it. A timed `recover()` (newest verifying
+//! generation + WAL tail replay) must be rank-identical — ids, scores, tie
+//! order — to a never-crashed serial replay of every acked op, and ≥10×
+//! faster than re-encoding the pool.
+//!
+//! **3. Readers survive a writer kill mid-publish.** The probe re-execs
 //! itself as one *writer* process (publishes generations of a growing
 //! synthetic index in a tight loop: tmp → fsync → rename, then the
 //! `CURRENT` pointer) and several *reader* processes (each maps `CURRENT`,
@@ -29,14 +39,17 @@
 use std::io::{BufRead, BufReader};
 use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use gbm_nn::{GraphBinMatch, GraphBinMatchConfig};
 use gbm_obs::names;
 use gbm_serve::{
-    publish_index_artifact, ArtifactConfig, ArtifactReader, IndexConfig, MetricsRegistry,
-    ReadOnlyIndex, ScanPrecision, ShardedIndex,
+    checkpoint, publish_index_artifact, recover, ArtifactConfig, ArtifactReader, DurabilityConfig,
+    GraphId, IndexConfig, MetricsRegistry, ReadOnlyIndex, ScanPrecision, Server, ServerConfig,
+    ShardedIndex, VirtualClock,
 };
+use gbm_store::{FileStorage, Storage, WAL_FILE};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -149,6 +162,105 @@ fn run_reader(dir: &Path, stop: &Path) {
     );
 }
 
+/// What the crash-kill drill measured.
+struct CrashReport {
+    snapshot_seq: u64,
+    replayed_ops: usize,
+    torn_bytes: usize,
+    recovery: Duration,
+}
+
+/// Part 2: checkpoint, crash mid-append, recover — asserted rank-identical
+/// to a never-crashed serial replay of every acked op.
+fn crash_drill(dir: &Path, rows: &[Vec<f32>], icfg: IndexConfig) -> CrashReport {
+    let storage: Arc<dyn Storage> = Arc::new(FileStorage::new());
+    let dcfg = DurabilityConfig::new(dir);
+    let scfg = ServerConfig {
+        scan_workers: 2,
+        index: icfg,
+        ..Default::default()
+    };
+    let boot = |rec: gbm_serve::Recovery| {
+        Server::durable(
+            None,
+            rec.index,
+            scfg,
+            Arc::new(VirtualClock::new()),
+            rec.wal,
+        )
+    };
+
+    // session 1: first half of the pool, clean shutdown, offline checkpoint
+    let server = boot(recover(Arc::clone(&storage), &dcfg, icfg).expect("fresh boot"));
+    for (i, row) in rows.iter().take(POOL / 2).enumerate() {
+        server.insert_row(i as GraphId, row.clone()).wait();
+    }
+    let report = server.shutdown();
+    assert!(report.is_drained() && report.is_durable(), "{report:?}");
+    let mut rec = recover(Arc::clone(&storage), &dcfg, icfg).expect("reload for checkpoint");
+    checkpoint(
+        Arc::clone(&storage),
+        &dcfg,
+        &rec.index,
+        None,
+        None,
+        &mut rec.wal,
+    )
+    .expect("checkpoint");
+
+    // session 2: second half + removals, then crash-kill mid-append
+    let server = boot(rec);
+    for (i, row) in rows.iter().enumerate().skip(POOL / 2) {
+        server.insert_row(i as GraphId, row.clone()).wait();
+    }
+    for id in (0..POOL as GraphId).step_by(5) {
+        server.remove(id).wait();
+    }
+    drop(server); // kill: no shutdown, no final sync
+    storage
+        .append(&dir.join(WAL_FILE), &[0xDE, 0xAD, 0xBE])
+        .expect("simulate a torn mid-append kill");
+
+    let t0 = Instant::now();
+    let rec = recover(Arc::clone(&storage), &dcfg, icfg).expect("crash recovery");
+    let recovery = t0.elapsed();
+
+    // never-crashed reference: serial replay of every acked op
+    let mut reference = ShardedIndex::new(icfg);
+    for (i, row) in rows.iter().enumerate() {
+        reference.insert_row(i as GraphId, row);
+    }
+    for id in (0..POOL as GraphId).step_by(5) {
+        reference.remove(id);
+    }
+    assert_eq!(rec.index.ids(), reference.ids(), "recovered id set");
+    for q in rows.iter().step_by(7) {
+        for k in [1usize, 5, POOL] {
+            assert_eq!(
+                rec.index.query(q, k),
+                reference.query(q, k),
+                "recovered rankings must be exact"
+            );
+        }
+    }
+    let report = CrashReport {
+        snapshot_seq: rec.snapshot_seq,
+        replayed_ops: rec.replayed_ops,
+        torn_bytes: rec.torn_bytes,
+        recovery,
+    };
+
+    // the recovered state resumes serving and shuts down clean
+    let server = boot(rec);
+    server.insert_row(1_000_000, rows[0].clone()).wait();
+    let shutdown = server.shutdown();
+    assert!(
+        shutdown.is_drained() && shutdown.is_durable(),
+        "{shutdown:?}"
+    );
+    report
+}
+
 /// One reader's parsed report.
 struct ReaderReport {
     gen: u64,
@@ -227,7 +339,20 @@ fn main() {
     );
     drop(ro);
 
-    // ---- part 2: writer-kill drill across real processes ----
+    // ---- part 2: crash-kill recovery drill ----
+    let rows: Vec<Vec<f32>> = (0..POOL as GraphId)
+        .map(|id| index.embedding(id).expect("built pool row").data().to_vec())
+        .collect();
+    let crash = crash_drill(&dir.join("durable"), &rows, index.config());
+    let recover_speedup = reencode.as_secs_f64() / crash.recovery.as_secs_f64().max(1e-9);
+    assert!(
+        recover_speedup >= 10.0,
+        "cold start from checkpoint+WAL must be ≥10× faster than re-encoding \
+         (got {recover_speedup:.1}×: recover {:?} vs re-encode {reencode:?})",
+        crash.recovery
+    );
+
+    // ---- part 3: writer-kill drill across real processes ----
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("reset drill dir");
     let exe = std::env::current_exe().expect("current exe");
@@ -322,13 +447,21 @@ fn main() {
             speedup
         );
         println!(
+            "  \"crash\": {{\"snapshot_seq\": {}, \"replayed_ops\": {}, \"torn_bytes\": {}, \
+             \"recover_us\": {}, \"speedup\": {recover_speedup:.1}}},",
+            crash.snapshot_seq,
+            crash.replayed_ops,
+            crash.torn_bytes,
+            crash.recovery.as_micros()
+        );
+        println!(
             "  \"drill\": {{\"killed_at_gen\": {killed_at}, \"readers_on_final_gen\": \
              {final_gens}, \"total_remaps\": {total_remaps}}}"
         );
         println!("}}");
         return;
     }
-    println!("=== v2 artifact serving drill (real files, real processes) ===");
+    println!("=== v2 artifact persistence drill (real files, real processes) ===");
     println!(
         "pool={POOL} graphs, hidden={hidden}, shards={SHARDS}, int8 index; \
          state under target/probe_artifact-state/"
@@ -338,6 +471,12 @@ fn main() {
         cold_open, reencode
     );
     println!("rankings    : mapped index bit-identical to the publishing index");
+    println!(
+        "crash-kill  : checkpoint at seq {}, {} WAL ops replayed, {} torn bytes dropped; \
+         recover {:.2?} ({recover_speedup:.0}x faster than re-encode), rank-identical \
+         to a never-crashed replay",
+        crash.snapshot_seq, crash.replayed_ops, crash.torn_bytes, crash.recovery
+    );
     println!(
         "writer kill : SIGKILL mid-publish at generation {killed_at}; every reader \
          still on a complete generation"

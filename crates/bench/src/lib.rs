@@ -13,9 +13,7 @@
 //! `quick` (seconds, smoke test) or `standard` (the EXPERIMENTS.md setting,
 //! minutes on a laptop). Default: `standard`.
 
-pub mod latency;
-
-pub use latency::LatencyHistogram;
+pub use gbm_obs::LatencyHistogram;
 
 use gbm_eval::{HarnessConfig, MethodScore};
 use gbm_frontends::{compile, SourceLang};

@@ -25,6 +25,8 @@
 //! assert_eq!(out.output, vec![7]);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod codegen;
 pub mod decompile;
 pub mod isa;

@@ -40,6 +40,8 @@
 //! [`progml`](gbm_progml), [`tokenizer`](gbm_tokenizer), [`nn`](gbm_nn),
 //! [`datasets`](gbm_datasets), [`eval`](gbm_eval).
 
+#![forbid(unsafe_code)]
+
 pub use gbm_binary as binary;
 pub use gbm_datasets as datasets;
 pub use gbm_eval as eval;

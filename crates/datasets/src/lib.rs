@@ -18,6 +18,8 @@
 //! materialization (compile → decompile, parallelized with rayon), and the
 //! per-language statistics behind Table I.
 
+#![forbid(unsafe_code)]
+
 pub mod style;
 pub mod tasks;
 

@@ -16,6 +16,8 @@
 //!   rankings — asserted),
 //! * [`experiments`] — one runner per table/figure (I, III–VIII, Fig. 3/4).
 
+#![forbid(unsafe_code)]
+
 pub mod experiments;
 pub mod harness;
 pub mod metrics;

@@ -23,6 +23,8 @@
 //! assert_eq!(out.output, vec![42]);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod ast;
 mod lex;
 pub mod lower;

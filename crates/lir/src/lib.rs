@@ -36,6 +36,8 @@
 //! assert!(text.contains("add i64"));
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod cfg;
 pub mod interp;
 mod module;

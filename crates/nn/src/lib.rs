@@ -24,6 +24,8 @@
 //! * [`trainer`] — the Adam training loop over any objective, plus batch
 //!   prediction.
 
+#![forbid(unsafe_code)]
+
 pub mod batch;
 pub mod embeddings;
 pub mod gatv2;

@@ -28,6 +28,8 @@
 //! (`GBM_METRICS` / `GBM_TRACE_SAMPLE`, warn-and-fall-back) lives with
 //! the other serving knobs in `gbm-serve`.
 
+#![forbid(unsafe_code)]
+
 pub mod clock;
 pub mod hist;
 pub mod names;

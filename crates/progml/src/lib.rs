@@ -26,6 +26,8 @@
 //! assert!(g.nodes.iter().any(|n| n.kind == NodeKind::Constant));
 //! ```
 
+#![forbid(unsafe_code)]
+
 use std::collections::HashMap;
 
 use gbm_lir::{Function, InstKind, Module, Operand, Ty};

@@ -19,6 +19,8 @@
 //! approximate; exactness comes from the caller re-scoring a widened
 //! candidate set against the retained f32 rows.
 
+#![forbid(unsafe_code)]
+
 use gbm_tensor::dot_i8_blocked;
 
 mod ivf;

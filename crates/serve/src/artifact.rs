@@ -31,8 +31,13 @@
 //! * **Readers never observe a torn generation.** Publishing is
 //!   tmp→fsync→rename twice ([`gbm_artifact::publish_artifact`]); a
 //!   writer killed mid-publish leaves `CURRENT` on the previous complete
-//!   generation, and [`ArtifactReader::poll`] failures leave the reader
-//!   serving its current map.
+//!   generation, and [`ArtifactReader`] checksums every payload of a
+//!   generation before swapping onto it — any open, validation or
+//!   checksum failure leaves the reader serving its current map.
+//!
+//! The same file is the durable server's checkpoint: `persist::checkpoint`
+//! writes a generation (plus tokenizer and model sections) into its
+//! directory, so a reader can serve a checkpoint directory directly.
 
 use std::io;
 use std::path::{Path, PathBuf};
@@ -43,14 +48,17 @@ use std::time::Instant;
 use gbm_artifact::{
     encode_artifact, open_map, publish_artifact, read_current, resolve_shard, ArtifactError,
     ArtifactIvf, ArtifactMap, ArtifactMeta, ArtifactQuant, ArtifactShard, ArtifactView, MapKind,
-    Section, SectionKind,
+    PrecisionTag, Section, SectionKind,
 };
+use gbm_nn::ModelSpec;
 use gbm_obs::{names, Counter, Histogram, MetricsRegistry};
 use gbm_quant::{IvfCellsView, QuantizedMatrixView};
+use gbm_store::FileStorage;
+use gbm_tokenizer::Tokenizer;
 use rayon::prelude::*;
 
 use crate::index::{GraphId, IndexConfig, ScanStats, ShardedIndex};
-use crate::persist::{precision_tag, scan_precision, tag_ivf_cells};
+use crate::persist::{model_data, tokenizer_data};
 use crate::quantized::ScanPrecision;
 use crate::scan::{prepare_query, scan_shard, IvfRef, QuantView, ShardView};
 
@@ -94,17 +102,64 @@ impl ArtifactConfig {
     }
 }
 
-/// Encodes `index`'s full scannable state — ids, f32 rows, int8 mirrors,
-/// trained IVF cell tables — into v2 artifact bytes stamped `last_seq`.
-/// Pending (unflushed) inserts are not imaged, exactly as they are
-/// invisible to [`ShardedIndex::query`].
-pub fn encode_index_artifact(index: &ShardedIndex, last_seq: u64) -> Vec<u8> {
+/// The header image of an index configuration (the IVF cell count rides
+/// the precision tag; it is meaningless, and 0, for the exact tiers).
+fn precision_tag(cfg: &IndexConfig) -> PrecisionTag {
+    match cfg.precision {
+        ScanPrecision::F32 => PrecisionTag::F32,
+        ScanPrecision::Int8 { widen } => PrecisionTag::Int8 {
+            widen: widen as u32,
+        },
+        ScanPrecision::Ivf { nprobe, widen } => PrecisionTag::Ivf {
+            nprobe: nprobe as u32,
+            widen: widen as u32,
+            cells: cfg.ivf_cells as u32,
+        },
+    }
+}
+
+/// The index configuration an artifact header records.
+pub(crate) fn index_config(meta: &ArtifactMeta) -> IndexConfig {
+    let (precision, ivf_cells) = match meta.precision {
+        PrecisionTag::F32 => (ScanPrecision::F32, 0),
+        PrecisionTag::Int8 { widen } => {
+            let widen = widen as usize;
+            (ScanPrecision::Int8 { widen }, 0)
+        }
+        PrecisionTag::Ivf {
+            nprobe,
+            widen,
+            cells,
+        } => {
+            let (nprobe, widen) = (nprobe as usize, widen as usize);
+            (ScanPrecision::Ivf { nprobe, widen }, cells as usize)
+        }
+    };
+    IndexConfig {
+        num_shards: meta.num_shards,
+        encode_batch: meta.encode_batch,
+        precision,
+        ivf_cells,
+    }
+}
+
+/// Encodes `index`'s full scannable state (ids, f32 rows, int8 mirrors,
+/// trained IVF cell tables), and optionally the tokenizer and model that
+/// feed it, into v2 artifact bytes stamped `last_seq`. Pending (unflushed)
+/// inserts are not imaged, exactly as they are invisible to
+/// [`ShardedIndex::query`].
+pub fn encode_index_artifact(
+    index: &ShardedIndex,
+    last_seq: u64,
+    tokenizer: Option<&Tokenizer>,
+    model: Option<&ModelSpec>,
+) -> Vec<u8> {
     let cfg = index.config();
     let meta = ArtifactMeta {
         num_shards: cfg.num_shards,
         encode_batch: cfg.encode_batch,
         hidden: index.hidden(),
-        precision: precision_tag(cfg.precision, cfg.ivf_cells),
+        precision: precision_tag(&cfg),
         last_seq,
     };
     // trained cell tables flatten to CSR once, up front: ArtifactShard
@@ -136,8 +191,8 @@ pub fn encode_index_artifact(index: &ShardedIndex, last_seq: u64) -> Vec<u8> {
                 ids: index.shard_ids(s),
                 rows: index.shard_rows(s),
                 // a shard emptied by removals keeps a 0-row mirror
-                // allocated; its image is "no mirror", same normalization
-                // as the v1 snapshot
+                // allocated; its image is "no mirror" (what a fresh
+                // rebuild produces)
                 quant: quant
                     .and_then(|q| q.matrix())
                     .filter(|m| m.rows() > 0)
@@ -163,14 +218,20 @@ pub fn encode_index_artifact(index: &ShardedIndex, last_seq: u64) -> Vec<u8> {
             }
         })
         .collect();
-    encode_artifact(&meta, &shards)
+    encode_artifact(
+        &meta,
+        &shards,
+        tokenizer.map(tokenizer_data).as_ref(),
+        model.map(model_data).as_ref(),
+    )
 }
 
 /// Encodes and atomically publishes `index` as generation `seq` under
 /// `dir` (artifact file lands, then `CURRENT` swings to it). Returns the
 /// published path.
 pub fn publish_index_artifact(index: &ShardedIndex, dir: &Path, seq: u64) -> io::Result<PathBuf> {
-    publish_artifact(dir, seq, &encode_index_artifact(index, seq))
+    let bytes = encode_index_artifact(index, seq, None, None);
+    publish_artifact(&FileStorage::new(), dir, seq, &bytes)
 }
 
 /// A sharded index served directly out of a mapped artifact: the same
@@ -213,12 +274,7 @@ impl ReadOnlyIndex {
             }
             view.into_parts()
         };
-        let cfg = IndexConfig {
-            num_shards: meta.num_shards,
-            encode_batch: meta.encode_batch,
-            precision: scan_precision(meta.precision),
-            ivf_cells: tag_ivf_cells(meta.precision),
-        };
+        let cfg = index_config(&meta);
         let num_encoded = sections
             .iter()
             .filter(|e| e.kind == SectionKind::Ids)
@@ -472,13 +528,20 @@ impl ArtifactReader {
         })
     }
 
+    /// Maps a generation and runs the full payload-checksum pass before
+    /// anything serves from it — the reader's one-off integrity check, off
+    /// the cold-open path [`ReadOnlyIndex::open`] keeps lazy.
     fn load(
         cfg: &ArtifactConfig,
         path: &Path,
         metrics: Option<&ArtifactMetrics>,
     ) -> Result<ReadOnlyIndex, ArtifactError> {
         let t0 = Instant::now();
-        match ReadOnlyIndex::open(path, cfg.mmap) {
+        let loaded = ReadOnlyIndex::open(path, cfg.mmap).and_then(|index| {
+            index.verify()?;
+            Ok(index)
+        });
+        match loaded {
             Ok(index) => {
                 if let Some(m) = metrics {
                     m.maps.inc();
@@ -512,9 +575,9 @@ impl ArtifactReader {
 
     /// Re-reads `CURRENT` and swaps onto a newer generation when one has
     /// been published. Returns whether a swap happened. Any failure —
-    /// unreadable pointer, artifact mid-reap, validation error — leaves
-    /// the reader serving its current generation (callers poll again
-    /// later), with `artifact.open_errors` ticked.
+    /// unreadable pointer, artifact mid-reap, validation or checksum
+    /// error — leaves the reader serving its current generation (callers
+    /// poll again later), with `artifact.open_errors` ticked.
     pub fn poll(&self) -> Result<bool, ArtifactError> {
         let Some((seq, path)) = read_current(&self.cfg.dir)? else {
             return Ok(false);

@@ -30,7 +30,7 @@ use std::collections::{HashMap, HashSet};
 use gbm_nn::{EncodedGraph, GraphBinMatch};
 use gbm_tensor::Tensor;
 
-use crate::clock::Clock;
+use gbm_obs::clock::Clock;
 
 /// Flush policy for an [`EncodeCoalescer`].
 #[derive(Clone, Copy, Debug)]
@@ -353,8 +353,8 @@ impl EncodeCoalescer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::clock::VirtualClock;
     use crate::testfix::{model, toy};
+    use gbm_obs::clock::VirtualClock;
 
     #[test]
     fn full_queue_flushes_immediately() {

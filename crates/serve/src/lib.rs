@@ -47,18 +47,20 @@
 //!   query. Submissions resolve through oneshot handles, never polling.
 //!   `GBM_SERVE_WORKERS` tunes the topology from the environment
 //!   ([`ServerConfig::with_env`]).
-//! * [`persist`] — crash-safe persistence: checksummed atomic snapshots of
-//!   the index (plus tokenizer and model) and an append-only op WAL the
-//!   durable server tees every insert/remove through. [`recover`] rebuilds
-//!   serving state from the newest verifying snapshot plus a WAL tail
-//!   replay, rank-identical to a never-crashed replay of the durable ops —
-//!   every corruption surfaces as a typed error, never a wrong ranking.
+//! * [`persist`] — crash-safe persistence: [`checkpoint`] writes the index
+//!   (plus tokenizer and model) as a v2 artifact generation, and an
+//!   append-only op WAL carries every insert/remove the durable server
+//!   applies after it. [`recover`] rebuilds serving state from the newest
+//!   generation whose checksums verify plus a WAL tail replay,
+//!   rank-identical to a never-crashed replay of the durable ops — every
+//!   corruption surfaces as a typed error, never a wrong ranking.
 //!   Storage is injected ([`gbm_store::Storage`]) so crashes, torn writes,
 //!   and bit rot are deterministically testable, mirroring the injected
 //!   [`Clock`]. `GBM_SNAPSHOT_DIR` / `GBM_WAL_FSYNC` tune durability from
 //!   the environment ([`DurabilityConfig::with_env`]).
 //! * [`artifact`] — multi-process serving from a published v2 artifact
-//!   (`gbm-artifact`'s page-aligned zero-copy format): a writer
+//!   (`gbm-artifact`'s page-aligned zero-copy format, the one on-disk
+//!   index format, checkpoints included): a writer
 //!   [`publish_index_artifact`]s generations (tmp → fsync → rename, then a
 //!   `CURRENT` pointer swing), reader processes `mmap` them and serve
 //!   through [`ReadOnlyIndex`] — the same query surface as
@@ -74,8 +76,9 @@
 //! tests here and in `gbm-eval`, which wires this index into its retrieval
 //! API). `RankBy::Cosine` is documented in `gbm_eval::retrieval`.
 
+#![forbid(unsafe_code)]
+
 pub mod artifact;
-pub mod clock;
 pub mod coalesce;
 mod env;
 pub mod index;
@@ -84,25 +87,26 @@ pub mod persist;
 pub mod quantized;
 mod scan;
 pub mod server;
+pub mod snapshot;
 #[cfg(any(test, feature = "test-fixtures"))]
 pub mod testfix;
 
 pub use artifact::{
     encode_index_artifact, publish_index_artifact, ArtifactConfig, ArtifactReader, ReadOnlyIndex,
 };
-pub use clock::{Clock, VirtualClock, WallClock};
 pub use gbm_artifact::{ArtifactError, MapKind};
-pub use gbm_obs::{MetricsRegistry, MetricsSnapshot, ObsConfig, TraceSpan, TraceStage};
+pub use gbm_obs::{
+    Clock, MetricsRegistry, MetricsSnapshot, ObsConfig, TraceSpan, TraceStage, VirtualClock,
+    WallClock,
+};
 
 pub use coalesce::{
     CoalescerConfig, CoalescerStats, EncodeCoalescer, FlushBatch, FlushTrigger, Ticket,
 };
 pub use index::{shard_of, GraphId, IndexConfig, ScanStats, ShardedIndex};
-pub use persist::{
-    checkpoint, recover, restore_index, snapshot_index, DurabilityConfig, PersistError, Recovery,
-    RecoveryStats,
-};
+pub use persist::{checkpoint, recover, DurabilityConfig, PersistError, Recovery, RecoveryStats};
 pub use quantized::{QuantizedShard, ScanPrecision};
 pub use server::{
     EncodeHandle, InsertHandle, RemoveHandle, ServeError, Server, ServerConfig, ServerReport,
 };
+pub use snapshot::{decode_generation, load_newest_generation, Snapshot};

@@ -1,17 +1,23 @@
 //! Crash-safe persistence for the serving stack: conversion between live
-//! serving types ([`ShardedIndex`], [`Tokenizer`], [`ModelSpec`]) and
-//! `gbm-store`'s plain snapshot/WAL data, plus the recovery orchestration.
+//! serving types ([`ShardedIndex`], [`Tokenizer`], [`ModelSpec`]) and their
+//! one on-disk image, a v2 artifact generation (`gbm-artifact`), plus the
+//! WAL-backed recovery orchestration.
 //!
 //! ```text
-//!  running server ──append──► wal.log        (every insert/remove, seq N)
-//!       │
-//!       └─checkpoint()──────► snap-{N}.gbms  (atomic write, then the WAL
-//!                                             restarts at N+1)
+//!  running server ──append──► wal.log          (every insert/remove, seq N)
+//!       └─checkpoint()──────► artifact-{N}.gbm (atomic write + CURRENT swing,
+//!                                               then the WAL restarts at N+1)
 //!  crash ▼
-//!  recover(): newest verifying snapshot  ──►  replay WAL ops with seq > N
-//!             (corrupt ones skipped,          (torn tail dropped+counted,
-//!              reported by name)               gaps = typed SeqGap error)
+//!  recover(): newest generation whose  ──►  replay WAL ops with seq > N
+//!             payloads all verify            (torn tail dropped+counted,
+//!             (bad ones skipped, listed)      gaps = typed SeqGap error)
 //! ```
+//!
+//! A checkpoint is an ordinary generation: a reader can map it with
+//! [`ReadOnlyIndex::open`](crate::ReadOnlyIndex::open) and serve it,
+//! rank-identical to the index [`recover`] rebuilds from it. Decoding a
+//! generation back into serving state, and choosing the newest one that
+//! verifies, is [`crate::snapshot`].
 //!
 //! The recovery contract, enforced by the tests below and the proptest
 //! suite in `tests/persist_prop.rs`: the recovered index is
@@ -23,34 +29,32 @@
 //!
 //! * WAL inserts carry the embedding row, so replay is pure index
 //!   arithmetic — no model, no re-encode drift.
-//! * Replay is resumable by sequence number: a snapshot at `last_seq = N`
+//! * Replay is resumable by sequence number: a checkpoint at `last_seq = N`
 //!   skips ops `≤ N` instead of re-applying them. Re-applying would be
 //!   *score*-safe but would perturb per-shard row order — the exact-tie
 //!   order — so idempotent replay is deliberately not the mechanism.
 //!
-//! Quantized (int8) indexes restore by *requantizing* the f32 rows —
-//! quantization is deterministic, so the rebuilt mirror must be bit-equal
-//! to the snapshot's stored codes; any difference is a typed
-//! [`PersistError::QuantMismatch`], catching corruption that slipped past
-//! no checksum but would change coarse-scan behaviour.
+//! Recovery rebuilds an owned index from the stored rows. Quantization is
+//! deterministic, so the requantized mirror must be bit-equal to the
+//! stored one; any difference is a typed [`PersistError::QuantMismatch`].
+//! IVF cells retrain from the rows (seeded k-means over the stored order).
 
 use std::path::PathBuf;
 use std::sync::Arc;
 
+use gbm_artifact::{parse_artifact_seq, publish_artifact, ArtifactError, ModelData, TokenizerData};
 use gbm_nn::ModelSpec;
-use gbm_store::{
-    load_newest_snapshot, parse_snapshot_seq, save_snapshot, ModelData, PrecisionTag, QuantData,
-    ShardData, SnapshotData, Storage, StoreError, TokenizerData, Wal, WalOp, WAL_FILE,
-};
+use gbm_store::{Storage, StoreError, Wal, WalOp, WAL_FILE};
 use gbm_tokenizer::Tokenizer;
 
-use crate::index::{shard_of, GraphId, IndexConfig, ShardedIndex};
-use crate::quantized::ScanPrecision;
+use crate::artifact::encode_index_artifact;
+use crate::index::{GraphId, IndexConfig, ShardedIndex};
+use crate::snapshot::load_newest_generation;
 
 /// Where and how durably serving state persists.
 #[derive(Clone, Debug)]
 pub struct DurabilityConfig {
-    /// Directory holding the snapshots and the WAL.
+    /// Directory holding the checkpoint generations and the WAL.
     pub dir: PathBuf,
     /// Fsync the WAL after every append (durable to the op, slower) rather
     /// than at sync points (shutdown, checkpoint).
@@ -67,13 +71,13 @@ impl DurabilityConfig {
     }
 
     /// Applies the persistence environment knobs on top of this config:
-    /// `GBM_SNAPSHOT_DIR` (the durability directory) and `GBM_WAL_FSYNC`
-    /// (`true`/`false`: fsync every WAL append). Invalid values warn on
-    /// stderr and leave the built-in defaults in force, like every other
-    /// `GBM_*` knob.
+    /// `GBM_SNAPSHOT_DIR` (the durability directory: checkpoints + WAL)
+    /// and `GBM_WAL_FSYNC` (`true`/`false`: fsync every WAL append).
+    /// Invalid values warn on stderr and leave the built-in defaults in
+    /// force, like every other `GBM_*` knob.
     pub fn with_env(mut self) -> DurabilityConfig {
         if let Some(dir) =
-            crate::env::env_knob::<PathBuf>("GBM_SNAPSHOT_DIR", "a snapshot directory path")
+            crate::env::env_knob::<PathBuf>("GBM_SNAPSHOT_DIR", "a checkpoint directory path")
         {
             self.dir = dir;
         }
@@ -87,27 +91,30 @@ impl DurabilityConfig {
 }
 
 /// Everything that can go wrong converting persisted data back into live
-/// serving state — the serving-layer extension of [`StoreError`].
+/// serving state — the serving-layer extension of [`StoreError`] and
+/// [`ArtifactError`].
 #[derive(Debug)]
 pub enum PersistError {
-    /// The storage layer failed or the bytes are corrupt.
+    /// The storage layer failed or the WAL bytes are corrupt.
     Store(StoreError),
-    /// A snapshot row is filed under a shard its id does not hash to.
+    /// A checkpoint generation is malformed.
+    Artifact(ArtifactError),
+    /// A stored row is filed under a shard its id does not hash to.
     ShardMismatch {
         /// The misfiled id.
         id: GraphId,
         /// Shard the id hashes to.
         expected: usize,
-        /// Shard the snapshot filed it under.
+        /// Shard the generation filed it under.
         found: usize,
     },
-    /// A shard's stored int8 codes are not the deterministic
-    /// requantization of its stored f32 rows.
+    /// A shard's stored int8 codes, scales or block bounds are not the
+    /// deterministic requantization of its stored f32 rows.
     QuantMismatch {
         /// The inconsistent shard.
         shard: usize,
     },
-    /// Row widths disagree (snapshot vs index vs WAL op).
+    /// Row widths disagree (generation vs index vs WAL op).
     WidthMismatch {
         /// What disagreed.
         what: String,
@@ -124,17 +131,18 @@ impl std::fmt::Display for PersistError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             PersistError::Store(e) => write!(f, "{e}"),
+            PersistError::Artifact(e) => write!(f, "{e}"),
             PersistError::ShardMismatch {
                 id,
                 expected,
                 found,
             } => write!(
                 f,
-                "snapshot files id {id} under shard {found}, but it hashes to shard {expected}"
+                "checkpoint files id {id} under shard {found}, but it hashes to shard {expected}"
             ),
             PersistError::QuantMismatch { shard } => write!(
                 f,
-                "shard {shard}: stored int8 codes are not the requantization of the stored rows"
+                "shard {shard}: stored int8 mirror is not the requantization of the stored rows"
             ),
             PersistError::WidthMismatch { what } => write!(f, "row width mismatch: {what}"),
             PersistError::Model(e) => write!(f, "cannot rebuild model: {e}"),
@@ -147,6 +155,7 @@ impl std::error::Error for PersistError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             PersistError::Store(e) => Some(e),
+            PersistError::Artifact(e) => Some(e),
             _ => None,
         }
     }
@@ -158,49 +167,20 @@ impl From<StoreError> for PersistError {
     }
 }
 
+impl From<ArtifactError> for PersistError {
+    fn from(e: ArtifactError) -> PersistError {
+        PersistError::Artifact(e)
+    }
+}
+
 impl PersistError {
     /// True when the persisted bytes are wrong (vs. I/O reaching them).
     pub fn is_corruption(&self) -> bool {
         match self {
             PersistError::Store(e) => e.is_corruption(),
+            PersistError::Artifact(e) => e.is_corruption(),
             _ => true,
         }
-    }
-}
-
-pub(crate) fn precision_tag(p: ScanPrecision, ivf_cells: usize) -> PrecisionTag {
-    match p {
-        ScanPrecision::F32 => PrecisionTag::F32,
-        ScanPrecision::Int8 { widen } => PrecisionTag::Int8 {
-            widen: widen as u32,
-        },
-        ScanPrecision::Ivf { nprobe, widen } => PrecisionTag::Ivf {
-            nprobe: nprobe as u32,
-            widen: widen as u32,
-            cells: ivf_cells as u32,
-        },
-    }
-}
-
-pub(crate) fn scan_precision(t: PrecisionTag) -> ScanPrecision {
-    match t {
-        PrecisionTag::F32 => ScanPrecision::F32,
-        PrecisionTag::Int8 { widen } => ScanPrecision::Int8 {
-            widen: widen as usize,
-        },
-        PrecisionTag::Ivf { nprobe, widen, .. } => ScanPrecision::Ivf {
-            nprobe: nprobe as usize,
-            widen: widen as usize,
-        },
-    }
-}
-
-/// The configured IVF cell count carried by the tag (0 for non-IVF tags —
-/// the field is meaningless there and `IndexConfig::default` uses 0 too).
-pub(crate) fn tag_ivf_cells(t: PrecisionTag) -> usize {
-    match t {
-        PrecisionTag::Ivf { cells, .. } => cells as usize,
-        _ => 0,
     }
 }
 
@@ -213,124 +193,12 @@ pub fn tokenizer_data(tok: &Tokenizer) -> TokenizerData {
     }
 }
 
-/// Rebuilds a tokenizer from its persistence image.
-pub fn tokenizer_from_data(data: &TokenizerData) -> Result<Tokenizer, PersistError> {
-    Tokenizer::from_parts(
-        data.entries.clone(),
-        data.seq_len as usize,
-        data.normalize_vars,
-    )
-    .map_err(PersistError::Tokenizer)
-}
-
 /// The persistence image of a model spec.
 pub fn model_data(spec: &ModelSpec) -> ModelData {
     ModelData {
         config: spec.config_words(),
         weights: spec.weights.clone(),
     }
-}
-
-/// Rebuilds a model spec from its persistence image.
-pub fn model_from_data(data: &ModelData) -> Result<ModelSpec, PersistError> {
-    ModelSpec::from_words(&data.config, data.weights.clone()).map_err(PersistError::Model)
-}
-
-/// Captures a full point-in-time image of `index` (plus, optionally, the
-/// tokenizer and model that feed it) with every WAL op up to `last_seq`
-/// folded in.
-pub fn snapshot_index(
-    index: &ShardedIndex,
-    last_seq: u64,
-    tokenizer: Option<&Tokenizer>,
-    model: Option<&ModelSpec>,
-) -> SnapshotData {
-    let cfg = index.config();
-    let shards = (0..cfg.num_shards)
-        .map(|s| ShardData {
-            ids: index.shard_ids(s).to_vec(),
-            rows: index.shard_rows(s).to_vec(),
-            // a shard emptied by removals keeps a 0-row mirror allocated;
-            // its image is "no mirror" (what a fresh rebuild produces)
-            quant: index
-                .shard_quant(s)
-                .and_then(|q| q.matrix())
-                .filter(|m| m.rows() > 0)
-                .map(|m| QuantData {
-                    codes: m.codes().to_vec(),
-                    scales: m.scales().to_vec(),
-                }),
-        })
-        .collect();
-    SnapshotData {
-        num_shards: cfg.num_shards as u32,
-        encode_batch: cfg.encode_batch as u32,
-        precision: precision_tag(cfg.precision, cfg.ivf_cells),
-        hidden: index.hidden() as u32,
-        last_seq,
-        shards,
-        tokenizer: tokenizer.map(tokenizer_data),
-        model: model.map(model_data),
-    }
-}
-
-/// Rebuilds a live index from a snapshot, verifying every structural
-/// invariant the checksums cannot see: ids hash to the shards they are
-/// filed under, row matrices are whole, and (for int8 indexes) the stored
-/// codes are bit-equal to a deterministic requantization of the stored
-/// rows. Row order is preserved exactly — it is the ranking tie-break.
-pub fn restore_index(data: &SnapshotData) -> Result<ShardedIndex, PersistError> {
-    let num_shards = data.num_shards as usize;
-    let hidden = data.hidden as usize;
-    // IVF cell structures are not imaged: they are a deterministic function
-    // of the stored row order (seeded k-means), so re-inserting the rows
-    // below rebuilds them bit-identically to the snapshotted index.
-    let mut index = ShardedIndex::new(IndexConfig {
-        num_shards,
-        encode_batch: data.encode_batch as usize,
-        precision: scan_precision(data.precision),
-        ivf_cells: tag_ivf_cells(data.precision),
-    });
-    if hidden > 0 {
-        index.set_hidden(hidden);
-    }
-    for (s, shard) in data.shards.iter().enumerate() {
-        if hidden == 0 && !shard.ids.is_empty() {
-            return Err(PersistError::WidthMismatch {
-                what: format!("shard {s} has rows but the snapshot width is 0"),
-            });
-        }
-        for (r, &id) in shard.ids.iter().enumerate() {
-            let expected = shard_of(id, num_shards);
-            if expected != s {
-                return Err(PersistError::ShardMismatch {
-                    id,
-                    expected,
-                    found: s,
-                });
-            }
-            index.insert_row(id, &shard.rows[r * hidden..(r + 1) * hidden]);
-        }
-        // ids hash to this shard and arrived in row order, so the rebuilt
-        // shard's ids/rows are the stored ones; verify the quant mirror
-        // (0-row mirrors normalize to "absent" on both sides)
-        let rebuilt = index
-            .shard_quant(s)
-            .and_then(|q| q.matrix())
-            .filter(|m| m.rows() > 0);
-        match (&shard.quant, rebuilt) {
-            (None, None) => {}
-            (Some(stored), Some(m)) => {
-                if stored.codes != m.codes() || stored.scales != m.scales() {
-                    return Err(PersistError::QuantMismatch { shard: s });
-                }
-            }
-            (Some(_), None) | (None, Some(_)) => {
-                return Err(PersistError::QuantMismatch { shard: s });
-            }
-        }
-    }
-    Ok(index)
 }
 
 /// A recovered serving state: the index at the durable frontier, the WAL
@@ -343,21 +211,23 @@ pub struct Recovery {
     /// The WAL, torn tail repaired, numbering continuous with the
     /// recovered state — hand it to `Server::durable`.
     pub wal: Wal,
-    /// `last_seq` of the snapshot recovery started from (0 = none found).
+    /// `last_seq` of the checkpoint recovery started from (0 = none found).
     pub snapshot_seq: u64,
-    /// WAL ops replayed on top of the snapshot.
+    /// WAL ops replayed on top of the checkpoint.
     pub replayed_ops: usize,
-    /// Wall time the WAL replay took, microseconds (snapshot load
-    /// excluded) — the recovery cost a `probe_recover` run reports.
+    /// Wall time the WAL replay took, microseconds (checkpoint load
+    /// excluded) — the recovery cost `probe_artifact`'s crash drill
+    /// reports.
     pub replay_us: u64,
     /// Torn-tail bytes dropped from the WAL (a crash mid-append).
     pub torn_bytes: usize,
-    /// Snapshots that failed verification, newest first — surfaced because
-    /// a skipped snapshot means a longer WAL replay than intended.
-    pub skipped_snapshots: Vec<(String, StoreError)>,
-    /// The tokenizer captured in the snapshot, when present.
+    /// Generations that failed verification, newest first — surfaced
+    /// because a skipped generation means a longer WAL replay than
+    /// intended.
+    pub skipped_generations: Vec<(String, ArtifactError)>,
+    /// The tokenizer captured in the checkpoint, when present.
     pub tokenizer: Option<Tokenizer>,
-    /// The model captured in the snapshot, when present.
+    /// The model captured in the checkpoint, when present.
     pub model: Option<ModelSpec>,
 }
 
@@ -368,9 +238,9 @@ pub struct Recovery {
 /// ([`Server::record_recovery`](crate::Server::record_recovery)).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct RecoveryStats {
-    /// `last_seq` of the snapshot recovery started from (0 = none found).
+    /// `last_seq` of the checkpoint recovery started from (0 = none found).
     pub snapshot_seq: u64,
-    /// WAL ops replayed on top of the snapshot.
+    /// WAL ops replayed on top of the checkpoint.
     pub replayed_ops: usize,
     /// Wall time the WAL replay took, microseconds.
     pub replay_us: u64,
@@ -397,35 +267,28 @@ impl std::fmt::Debug for Recovery {
             .field("snapshot_seq", &self.snapshot_seq)
             .field("replayed_ops", &self.replayed_ops)
             .field("torn_bytes", &self.torn_bytes)
-            .field("skipped_snapshots", &self.skipped_snapshots)
+            .field("skipped_generations", &self.skipped_generations)
             .field("tokenizer", &self.tokenizer.is_some())
             .field("model", &self.model.is_some())
             .finish_non_exhaustive()
     }
 }
 
-/// Recovers serving state from `cfg.dir`: loads the newest snapshot that
-/// verifies (an empty directory recovers to a fresh index under
-/// `fallback`), replays the WAL ops past its `last_seq`, repairs the torn
-/// tail, and detects every gap a lost snapshot or compacted log could
-/// open. Returns a typed error rather than ever serving a wrong ranking.
+/// Recovers serving state from `cfg.dir`: rebuilds the index from the
+/// newest generation whose every payload checksum verifies (an empty
+/// directory recovers to a fresh index under `fallback`), replays the WAL
+/// ops past its `last_seq`, repairs the torn tail, and detects every gap a
+/// lost generation or compacted log could open. Returns a typed error
+/// rather than ever serving a wrong ranking.
 pub fn recover(
     storage: Arc<dyn Storage>,
     cfg: &DurabilityConfig,
     fallback: IndexConfig,
 ) -> Result<Recovery, PersistError> {
-    let (snap, skipped) = load_newest_snapshot(storage.as_ref(), &cfg.dir)?;
-    let snapshot_seq = snap.as_ref().map_or(0, |s| s.last_seq);
-    let (mut index, tokenizer, model) = match &snap {
-        Some(data) => (
-            restore_index(data)?,
-            data.tokenizer
-                .as_ref()
-                .map(tokenizer_from_data)
-                .transpose()?,
-            data.model.as_ref().map(model_from_data).transpose()?,
-        ),
-        None => (ShardedIndex::new(fallback), None, None),
+    let (base, skipped) = load_newest_generation(storage.as_ref(), &cfg.dir)?;
+    let (mut index, tokenizer, model, snapshot_seq) = match base {
+        Some(s) => (s.index, s.tokenizer, s.model, s.last_seq),
+        None => (ShardedIndex::new(fallback), None, None, 0),
     };
     let (wal, replay) = Wal::resume(
         Arc::clone(&storage),
@@ -433,8 +296,8 @@ pub fn recover(
         cfg.fsync_each,
         snapshot_seq + 1,
     )?;
-    // ops ≤ snapshot_seq are already folded into the snapshot (a crash
-    // between snapshot write and WAL compaction leaves them behind); the
+    // ops ≤ snapshot_seq are already folded into the checkpoint (a crash
+    // between checkpoint write and WAL compaction leaves them behind); the
     // remainder must continue exactly at snapshot_seq + 1
     let replay_start = std::time::Instant::now();
     let mut replayed = 0usize;
@@ -469,13 +332,13 @@ pub fn recover(
         replayed += 1;
     }
     let replay_us = replay_start.elapsed().as_micros() as u64;
-    // a skipped (corrupt) snapshot newer than everything recovered means
+    // a skipped (corrupt) generation newer than everything recovered means
     // ops were compacted away that nothing can reproduce — data loss,
     // which must surface as an error, not a silently shorter index
     let covered = wal.state().next_seq - 1;
     if let Some(lost) = skipped
         .iter()
-        .filter_map(|(name, _)| parse_snapshot_seq(name))
+        .filter_map(|(name, _)| parse_artifact_seq(name))
         .find(|&seq| seq > covered)
     {
         return Err(StoreError::SeqGap {
@@ -491,18 +354,19 @@ pub fn recover(
         replayed_ops: replayed,
         replay_us,
         torn_bytes: replay.torn_bytes,
-        skipped_snapshots: skipped,
+        skipped_generations: skipped,
         tokenizer,
         model,
     })
 }
 
-/// Checkpoints the serving state: atomically writes a snapshot carrying
-/// every op the WAL has logged, then restarts (compacts) the WAL at the
-/// next sequence number. Crash-ordering is safe at every point — before
-/// the snapshot lands the old WAL still covers everything; between
-/// snapshot and compaction, replay skips the ops the snapshot already
-/// folded in.
+/// Checkpoints the serving state: writes a generation
+/// (`artifact-<seq>.gbm`, every op the WAL has logged folded in) and
+/// swings `CURRENT` to it through `storage`, then restarts (compacts) the
+/// WAL at the next sequence number. Returns the generation's path, which a
+/// reader can map directly. Crash-ordering is safe at every point — before
+/// the generation lands the old WAL still covers everything; between
+/// generation and compaction, replay skips the ops it already folded in.
 pub fn checkpoint(
     storage: Arc<dyn Storage>,
     cfg: &DurabilityConfig,
@@ -512,8 +376,9 @@ pub fn checkpoint(
     wal: &mut Wal,
 ) -> Result<PathBuf, PersistError> {
     let last_seq = wal.state().next_seq - 1;
-    let data = snapshot_index(index, last_seq, tokenizer, model);
-    let path = save_snapshot(storage.as_ref(), &cfg.dir, &data)?;
+    let bytes = encode_index_artifact(index, last_seq, tokenizer, model);
+    let path =
+        publish_artifact(storage.as_ref(), &cfg.dir, last_seq, &bytes).map_err(StoreError::from)?;
     *wal = Wal::create(
         storage,
         cfg.dir.join(WAL_FILE),
@@ -526,7 +391,14 @@ pub fn checkpoint(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gbm_store::{snapshot_file_name, FaultPlan, FaultStorage, MemStorage};
+    use crate::quantized::ScanPrecision;
+    use crate::snapshot::decode_generation;
+    use gbm_artifact::{
+        artifact_file_name, encode_artifact, ArtifactMap, ArtifactMeta, ArtifactQuant,
+        ArtifactShard, ArtifactView, HeapMap, PrecisionTag,
+    };
+    use gbm_store::{FaultPlan, FaultStorage, MemStorage};
+    use std::path::Path;
 
     fn synth_rows(n: usize, hidden: usize, seed: u64) -> Vec<f32> {
         let mut state = seed;
@@ -540,6 +412,33 @@ mod tests {
             .collect()
     }
 
+    fn image(index: &ShardedIndex, last_seq: u64) -> Vec<u8> {
+        encode_index_artifact(index, last_seq, None, None)
+    }
+
+    /// The restore half of recovery over raw generation bytes.
+    fn restore_bytes(bytes: &[u8]) -> Result<ShardedIndex, PersistError> {
+        decode_generation(bytes).map(|s| s.index)
+    }
+
+    /// Writes generation `seq` without compacting the WAL — what a crash
+    /// between a checkpoint and its compaction leaves behind.
+    fn write_generation(storage: &dyn Storage, dir: &Path, index: &ShardedIndex, seq: u64) {
+        publish_artifact(storage, dir, seq, &image(index, seq)).unwrap();
+    }
+
+    /// Flips a byte in the middle of generation `seq`'s largest payload —
+    /// inside a checksummed section, never in alignment padding.
+    fn flip_payload_byte(storage: &dyn Storage, dir: &Path, seq: u64) {
+        let path = dir.join(artifact_file_name(seq));
+        let mut bytes = storage.read(&path).unwrap();
+        let view = ArtifactView::parse(&bytes).unwrap();
+        let e = view.sections().iter().max_by_key(|e| e.len).unwrap();
+        let at = e.offset + e.len / 2;
+        bytes[at] ^= 0x40;
+        storage.write_atomic(&path, &bytes).unwrap();
+    }
+
     fn assert_rank_identical(a: &ShardedIndex, b: &ShardedIndex, queries: &[Vec<f32>]) {
         assert_eq!(a.ids(), b.ids());
         for q in queries {
@@ -549,9 +448,9 @@ mod tests {
         }
     }
 
-    /// Snapshot → restore is bit-exact: rows, row order, quant codes, and
-    /// therefore rankings, across shard counts and precisions (including
-    /// empty shards and an entirely empty index).
+    /// Generation bytes → restore is bit-exact: rows, row order, quant
+    /// codes, and therefore rankings, across shard counts and precisions
+    /// (including empty shards and an entirely empty index).
     #[test]
     fn snapshot_restore_roundtrips_across_shapes() {
         let hidden = 6;
@@ -575,8 +474,7 @@ mod tests {
                 };
                 let mut index = ShardedIndex::from_rows(&rows, hidden, cfg);
                 index.remove(3); // perturb row order via swap-fill
-                let data = snapshot_index(&index, 17, None, None);
-                let restored = restore_index(&data).unwrap();
+                let restored = restore_bytes(&image(&index, 17)).unwrap();
                 assert_eq!(restored.hidden(), index.hidden());
                 for s in 0..shards {
                     assert_eq!(restored.shard_ids(s), index.shard_ids(s), "row order");
@@ -588,13 +486,13 @@ mod tests {
         }
         // the empty index
         let empty = ShardedIndex::new(IndexConfig::default());
-        let restored = restore_index(&snapshot_index(&empty, 0, None, None)).unwrap();
+        let restored = restore_bytes(&image(&empty, 0)).unwrap();
         assert_eq!(restored.num_encoded(), 0);
         assert_eq!(restored.query(&[], 3), vec![]);
     }
 
     /// The configured IVF cell count rides the precision tag through a
-    /// snapshot, and an IVF index trained past the threshold restores to
+    /// generation, and an IVF index trained past the threshold restores to
     /// identical cell structures (seeded k-means is a deterministic
     /// function of the stored row order).
     #[test]
@@ -611,7 +509,7 @@ mod tests {
             ivf_cells: 13,
         };
         let index = ShardedIndex::from_rows(&rows, hidden, cfg);
-        let restored = restore_index(&snapshot_index(&index, 5, None, None)).unwrap();
+        let restored = restore_bytes(&image(&index, 5)).unwrap();
         assert_eq!(restored.config().precision, cfg.precision);
         assert_eq!(restored.config().ivf_cells, 13);
         let (a, b) = (index.shard_ivf(0).unwrap(), restored.shard_ivf(0).unwrap());
@@ -623,7 +521,8 @@ mod tests {
     }
 
     /// Structural inconsistencies a checksum cannot catch are typed
-    /// errors: misfiled ids, tampered quant codes, width-zero shards.
+    /// errors: misfiled or repeated ids, tampered quant codes or block
+    /// bounds, a mirror missing or extra, rows under width zero.
     #[test]
     fn restore_rejects_inconsistent_snapshots() {
         let hidden = 4;
@@ -638,54 +537,79 @@ mod tests {
                 ..Default::default()
             },
         );
-        let good = snapshot_index(&index, 1, None, None);
-        restore_index(&good).unwrap();
+        let good = image(&index, 1);
+        restore_bytes(&good).unwrap();
+        let map = HeapMap::from_bytes(&good);
+        let view = ArtifactView::parse(map.bytes()).unwrap();
+        let meta = *view.meta();
+        let shards: Vec<ArtifactShard> = (0..3).map(|s| view.shard(s).unwrap()).collect();
+        let rewrite = |meta: &ArtifactMeta, shards: &[ArtifactShard]| {
+            restore_bytes(&encode_artifact(meta, shards, None, None))
+        };
+        let populated = shards.iter().position(|s| s.ids.len() >= 2).unwrap();
 
         // swap two shards' contents: ids no longer hash where they are filed
-        let mut misfiled = good.clone();
-        misfiled.shards.swap(0, 1);
+        let mut misfiled = shards.clone();
+        misfiled.swap(0, 1);
         assert!(matches!(
-            restore_index(&misfiled),
+            rewrite(&meta, &misfiled),
             Err(PersistError::ShardMismatch { .. })
         ));
 
-        // tamper one quant code: requantization no longer matches
-        let mut tampered = good.clone();
-        for shard in &mut tampered.shards {
-            if let Some(q) = &mut shard.quant {
-                if !q.codes.is_empty() {
-                    q.codes[0] = q.codes[0].wrapping_add(1);
-                    break;
-                }
-            }
+        // a repeated id: recovery would keep one row where a mapped reader
+        // serves two
+        let mut ids = shards[populated].ids.to_vec();
+        ids[1] = ids[0];
+        let mut repeated = shards.clone();
+        repeated[populated].ids = &ids;
+        assert!(matches!(
+            rewrite(&meta, &repeated),
+            Err(PersistError::Artifact(ArtifactError::Malformed { .. }))
+        ));
+
+        // tamper one quant code, then one block bound: requantization no
+        // longer matches
+        let q = shards[populated].quant.unwrap();
+        let mut codes = q.codes.to_vec();
+        codes[0] = codes[0].wrapping_add(1);
+        let mut l1 = q.block_l1.to_vec();
+        l1[0] += 1.0;
+        for tampered in [
+            ArtifactQuant { codes: &codes, ..q },
+            ArtifactQuant { block_l1: &l1, ..q },
+        ] {
+            let mut t = shards.clone();
+            t[populated].quant = Some(tampered);
+            assert!(matches!(
+                rewrite(&meta, &t),
+                Err(PersistError::QuantMismatch { .. })
+            ));
         }
+
+        // a populated int8 shard without its mirror is refused by the
+        // format itself; a mirror on an f32 index is not a requantization
+        let mut missing = shards.clone();
+        missing[populated].quant = None;
         assert!(matches!(
-            restore_index(&tampered),
+            rewrite(&meta, &missing),
+            Err(PersistError::Artifact(ArtifactError::Malformed { .. }))
+        ));
+        let f32_meta = ArtifactMeta {
+            precision: PrecisionTag::F32,
+            ..meta
+        };
+        assert!(matches!(
+            rewrite(&f32_meta, &shards),
             Err(PersistError::QuantMismatch { .. })
         ));
 
-        // drop a quant mirror entirely from an int8 snapshot
-        let mut missing = good.clone();
-        let populated = missing
-            .shards
-            .iter()
-            .position(|s| !s.ids.is_empty())
-            .unwrap();
-        missing.shards[populated].quant = None;
-        assert!(matches!(
-            restore_index(&missing),
-            Err(PersistError::QuantMismatch { .. })
-        ));
-
-        // rows claimed under width 0
+        // rows claimed under width 0 (header patched, its crc re-sealed)
         let mut zero = good.clone();
-        zero.hidden = 0;
-        for s in &mut zero.shards {
-            s.rows.clear();
-            s.quant = None;
-        }
+        zero[24..28].copy_from_slice(&0u32.to_le_bytes());
+        let crc = gbm_store::crc32(&zero[..56]);
+        zero[56..60].copy_from_slice(&crc.to_le_bytes());
         assert!(matches!(
-            restore_index(&zero),
+            restore_bytes(&zero),
             Err(PersistError::WidthMismatch { .. })
         ));
     }
@@ -694,7 +618,7 @@ mod tests {
     /// checkpoint part-way, crash with a torn tail — recovery is
     /// rank-identical (ids, scores, tie order) to a never-crashed index
     /// that applied the durable ops, including a mid-compaction crash
-    /// (snapshot written, WAL never truncated).
+    /// (generation written, WAL never truncated).
     #[test]
     fn recover_is_rank_identical_to_never_crashed_replay() {
         let hidden = 5;
@@ -738,10 +662,10 @@ mod tests {
                         checkpoint(Arc::clone(&storage), &dcfg, &live, None, None, &mut wal)
                             .unwrap();
                     } else {
-                        // mid-compaction crash: snapshot lands, WAL does not
-                        // get truncated — replay must skip the overlap
-                        let data = snapshot_index(&live, wal.state().next_seq - 1, None, None);
-                        save_snapshot(storage.as_ref(), &dcfg.dir, &data).unwrap();
+                        // mid-compaction crash: the generation lands, the WAL
+                        // does not get truncated — replay must skip the overlap
+                        let seq = wal.state().next_seq - 1;
+                        write_generation(storage.as_ref(), &dcfg.dir, &live, seq);
                     }
                 }
             }
@@ -754,7 +678,7 @@ mod tests {
             assert_eq!(rec.snapshot_seq, 30);
             assert_eq!(rec.replayed_ops, ops.len() - 30);
             assert_eq!(rec.torn_bytes, 5);
-            assert!(rec.skipped_snapshots.is_empty());
+            assert!(rec.skipped_generations.is_empty());
             assert_eq!(rec.wal.state().next_seq, ops.len() as u64 + 1);
             let queries: Vec<Vec<f32>> = vec![row(0), row(17), row(63)];
             assert_rank_identical(&rec.index, &live, &queries);
@@ -780,9 +704,10 @@ mod tests {
         assert!(rec.tokenizer.is_none() && rec.model.is_none());
     }
 
-    /// A corrupt newest snapshot falls back to the previous one as long as
-    /// the WAL still covers the gap; once the WAL has been compacted past
-    /// it, the same corruption is unrecoverable and must be a typed error.
+    /// A corrupt newest generation falls back to the previous one as long
+    /// as the WAL still covers the gap; once the WAL has been compacted
+    /// past it, the same corruption is unrecoverable and must be a typed
+    /// error.
     #[test]
     fn corrupt_newest_snapshot_falls_back_or_fails_loudly() {
         let hidden = 4;
@@ -807,23 +732,17 @@ mod tests {
                 wal.append(&op).unwrap();
                 live.insert_row(i as u64, &rows[i * hidden..(i + 1) * hidden]);
                 if i == 7 {
-                    // older snapshot at seq 8, WAL keeps running
-                    let data = snapshot_index(&live, 8, None, None);
-                    save_snapshot(storage.as_ref(), &dcfg.dir, &data).unwrap();
+                    // older generation at seq 8, WAL keeps running
+                    write_generation(storage.as_ref(), &dcfg.dir, &live, 8);
                 }
             }
             if compact {
                 checkpoint(Arc::clone(&storage), &dcfg, &live, None, None, &mut wal).unwrap();
             } else {
-                let data = snapshot_index(&live, 16, None, None);
-                save_snapshot(storage.as_ref(), &dcfg.dir, &data).unwrap();
+                write_generation(storage.as_ref(), &dcfg.dir, &live, 16);
             }
-            // corrupt the newest snapshot (seq 16) on disk
-            let newest = dcfg.dir.join(snapshot_file_name(16));
-            let mut bytes = storage.read(&newest).unwrap();
-            let n = bytes.len();
-            bytes[n / 2] ^= 0x40;
-            storage.write_atomic(&newest, &bytes).unwrap();
+            // corrupt the newest generation (seq 16) on disk
+            flip_payload_byte(storage.as_ref(), &dcfg.dir, 16);
             (storage, dcfg, live)
         };
 
@@ -832,8 +751,9 @@ mod tests {
         let rec = recover(Arc::clone(&storage), &dcfg, icfg).unwrap();
         assert_eq!(rec.snapshot_seq, 8);
         assert_eq!(rec.replayed_ops, 8);
-        assert_eq!(rec.skipped_snapshots.len(), 1);
-        assert!(rec.skipped_snapshots[0].1.is_corruption());
+        assert_eq!(rec.skipped_generations.len(), 1);
+        assert_eq!(rec.skipped_generations[0].0, artifact_file_name(16));
+        assert!(rec.skipped_generations[0].1.is_corruption());
         assert_rank_identical(&rec.index, &live, &[rows[..hidden].to_vec()]);
 
         // WAL compacted at 16: ops 9..16 exist nowhere — typed error
@@ -882,10 +802,10 @@ mod tests {
         live.remove(3);
         let queries = [rows[..hidden].to_vec()];
 
-        // bit flip on every snapshot read: no snapshot verifies, and the
-        // WAL alone cannot reproduce the compacted ops — typed error
+        // bit flip on every generation read: none verifies, and the WAL
+        // alone cannot reproduce the compacted ops — typed error
         faulty.set_plan(FaultPlan {
-            flip_on_read: Some(("snap-".into(), 30, 0x04)),
+            flip_on_read: Some(("artifact-".into(), 30, 0x04)),
             ..Default::default()
         });
         let err = recover(Arc::clone(&storage), &dcfg, icfg).unwrap_err();
@@ -935,7 +855,7 @@ mod tests {
         std::env::remove_var("GBM_WAL_FSYNC");
     }
 
-    /// Tokenizer and model ride the snapshot and come back functionally
+    /// Tokenizer and model ride the checkpoint and come back functionally
     /// identical (same encodings, bit-identical weights).
     #[test]
     fn tokenizer_and_model_roundtrip_through_recovery() {
@@ -971,5 +891,40 @@ mod tests {
         }
         let rspec = rec.model.expect("model captured");
         assert_eq!(rspec, spec, "config and weights bit-identical");
+    }
+
+    /// A filesystem that tears the "atomic" write of the newest checkpoint
+    /// never leaves a loadable partial: recovery skips and lists the torn
+    /// generation, starts from the previous one, and the WAL covers the
+    /// rest.
+    #[test]
+    fn torn_checkpoint_never_leaves_a_loadable_partial() {
+        let hidden = 4;
+        let rows = synth_rows(6, hidden, 61);
+        let faulty = Arc::new(FaultStorage::new(Arc::new(MemStorage::new())));
+        let storage: Arc<dyn Storage> = Arc::clone(&faulty) as Arc<dyn Storage>;
+        let dcfg = DurabilityConfig::new("/d");
+        let mut live = ShardedIndex::new(IndexConfig::default());
+        let mut wal = Wal::create(Arc::clone(&storage), dcfg.dir.join(WAL_FILE), false, 1).unwrap();
+        for i in 0..6usize {
+            let row = rows[i * hidden..(i + 1) * hidden].to_vec();
+            live.insert_row(i as u64, &row);
+            wal.append(&WalOp::Insert { id: i as u64, row }).unwrap();
+            if i == 2 {
+                write_generation(storage.as_ref(), &dcfg.dir, &live, 3);
+                // the next artifact write is torn at 100 bytes
+                faulty.set_plan(FaultPlan {
+                    torn_write_atomic: Some((1, 100)),
+                    ..Default::default()
+                });
+            }
+        }
+        write_generation(storage.as_ref(), &dcfg.dir, &live, 6);
+        let rec = recover(storage, &dcfg, IndexConfig::default()).unwrap();
+        assert_eq!(rec.snapshot_seq, 3, "fell back past the torn file");
+        assert_eq!(rec.replayed_ops, 3);
+        assert_eq!(rec.skipped_generations.len(), 1);
+        assert!(rec.skipped_generations[0].1.is_corruption());
+        assert_rank_identical(&rec.index, &live, &[rows[..hidden].to_vec()]);
     }
 }

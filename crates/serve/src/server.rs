@@ -72,11 +72,11 @@ use gbm_obs::{MetricsSnapshot, ObsConfig, TraceSpan};
 use gbm_store::{StoreError, Wal, WalOp, WalState};
 use gbm_tensor::Tensor;
 
-use crate::clock::Clock;
 use crate::coalesce::{CoalescerConfig, CoalescerStats, EncodeCoalescer, FlushTrigger, Ticket};
 use crate::index::{GraphId, IndexConfig, ScanStats, ShardedIndex};
 use crate::metrics::{ServeMetrics, ServerObs};
 use crate::persist::RecoveryStats;
+use gbm_obs::clock::Clock;
 
 /// Worker topology and flush policy for a [`Server`].
 #[derive(Clone, Copy, Debug)]
@@ -1037,9 +1037,9 @@ fn encode_worker_loop(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::clock::VirtualClock;
     use crate::quantized::ScanPrecision;
     use crate::testfix::{model, toy};
+    use gbm_obs::clock::VirtualClock;
 
     fn synth_rows(n: usize, hidden: usize, seed: u64) -> Vec<f32> {
         // splitmix64, the same mixer the index routes with

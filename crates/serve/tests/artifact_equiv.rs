@@ -3,18 +3,21 @@
 //! [`ShardedIndex`] that published it — ids, scores, tie order, and scan
 //! accounting — at F32 and Int8 across shard counts, and identically at
 //! Ivf too (the artifact serializes the trained cell tables instead of
-//! retraining). Plus: the publish/poll generation protocol, metrics, and
-//! the degenerate-index round-trips through both the v1 snapshot and the
-//! v2 artifact.
+//! retraining). Plus: the publish/poll generation protocol, metrics, a
+//! checkpoint served as a mapped generation, and the degenerate-index
+//! round-trips both ways out of an artifact — mapped in place, and
+//! restored into an owned index by recovery.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::Arc;
 
-use gbm_serve::persist::{restore_index, snapshot_index};
 use gbm_serve::{
-    encode_index_artifact, publish_index_artifact, ArtifactConfig, ArtifactReader, IndexConfig,
-    MapKind, MetricsRegistry, ReadOnlyIndex, ScanPrecision, ShardedIndex,
+    checkpoint, encode_index_artifact, publish_index_artifact, recover, ArtifactConfig,
+    ArtifactReader, DurabilityConfig, IndexConfig, MapKind, MetricsRegistry, ReadOnlyIndex,
+    ScanPrecision, ShardedIndex,
 };
+use gbm_store::{FileStorage, MemStorage, Storage, Wal, WAL_FILE};
 
 fn splitmix64(x: u64) -> u64 {
     let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
@@ -72,6 +75,18 @@ fn round_trip(index: &ShardedIndex, tag: &str) -> Vec<ReadOnlyIndex> {
     #[cfg(unix)]
     assert_eq!(mapped.map_kind(), MapKind::Mmap, "unix serves from a map");
     vec![mapped, heap]
+}
+
+/// The owned index recovery rebuilds from `index`'s checkpoint: the v2 →
+/// owned-index restore, through in-memory storage.
+fn restore_via_checkpoint(index: &ShardedIndex) -> ShardedIndex {
+    let storage: Arc<dyn Storage> = Arc::new(MemStorage::new());
+    let dcfg = DurabilityConfig::new("/d");
+    let mut wal = Wal::create(Arc::clone(&storage), dcfg.dir.join(WAL_FILE), false, 1).unwrap();
+    checkpoint(Arc::clone(&storage), &dcfg, index, None, None, &mut wal).expect("checkpoint");
+    recover(storage, &dcfg, IndexConfig::default())
+        .expect("own checkpoint recovers")
+        .index
 }
 
 /// Full-surface equality: `query`, `query_stats` (answers *and*
@@ -247,7 +262,7 @@ fn corrupted_payload_is_caught_by_verify() {
     let hidden = 4;
     let rows = synth_matrix(30, hidden, 5);
     let index = ShardedIndex::from_rows(&rows, hidden, IndexConfig::default());
-    let mut bytes = encode_index_artifact(&index, 9);
+    let mut bytes = encode_index_artifact(&index, 9, None, None);
     let ro = ReadOnlyIndex::from_map(Box::new(gbm_artifact::HeapMap::from_bytes(&bytes)))
         .expect("clean bytes open");
     ro.verify().expect("clean bytes verify");
@@ -266,10 +281,10 @@ fn corrupted_payload_is_caught_by_verify() {
     }
 }
 
-/// Degenerate indexes round-trip through BOTH persistence formats — the v1
-/// snapshot and the v2 artifact — and keep answering exactly:
-/// zero-row shards (more shards than rows), an all-shards-empty index, and
-/// a shard sitting exactly at the IVF training threshold.
+/// Degenerate indexes round-trip through both ways out of an artifact — a
+/// recovered owned index and the mapped reader — and keep answering
+/// exactly: zero-row shards (more shards than rows), an all-shards-empty
+/// index, and a shard sitting exactly at the IVF training threshold.
 #[test]
 fn degenerate_indexes_round_trip_both_formats() {
     let hidden = 8;
@@ -288,7 +303,7 @@ fn degenerate_indexes_round_trip_both_formats() {
         );
         assert!(index.shard_sizes().contains(&0));
         let query = rows[..hidden].to_vec();
-        let restored = restore_index(&snapshot_index(&index, 0, None, None)).expect("v1");
+        let restored = restore_via_checkpoint(&index);
         assert_eq!(restored.query(&query, 10), index.query(&query, 10));
         for ro in round_trip(&index, "sparse") {
             assert_rank_identical(&ro, &index, &query, "zero-row shards");
@@ -309,7 +324,7 @@ fn degenerate_indexes_round_trip_both_formats() {
         },
     );
     assert_eq!(empty.num_encoded(), 0);
-    let restored = restore_index(&snapshot_index(&empty, 0, None, None)).expect("v1 empty");
+    let restored = restore_via_checkpoint(&empty);
     assert_eq!(restored.num_encoded(), 0);
     assert_eq!(restored.hidden(), hidden, "width survives emptiness");
     for ro in round_trip(&empty, "empty") {
@@ -320,8 +335,8 @@ fn degenerate_indexes_round_trip_both_formats() {
     }
 
     // (c) exactly IVF_MIN_TRAIN_ROWS in one shard: the training boundary.
-    // v1 retrains deterministically; v2 serves the serialized tables —
-    // both must answer exactly like the original.
+    // Recovery retrains deterministically; the mapped reader serves the
+    // serialized tables — both must answer exactly like the original.
     let n = gbm_quant::IVF_MIN_TRAIN_ROWS;
     let rows = synth_matrix(n, hidden, 67);
     let index = ShardedIndex::from_rows(
@@ -341,7 +356,7 @@ fn degenerate_indexes_round_trip_both_formats() {
         "exactly at the threshold trains"
     );
     let query = rows[hidden..2 * hidden].to_vec();
-    let restored = restore_index(&snapshot_index(&index, 0, None, None)).expect("v1 boundary");
+    let restored = restore_via_checkpoint(&index);
     assert!(restored.shard_ivf(0).unwrap().is_trained());
     for k in [1usize, 10, n] {
         assert_eq!(restored.query(&query, k), index.query(&query, k));
@@ -369,5 +384,100 @@ fn degenerate_indexes_round_trip_both_formats() {
     assert!(!index.shard_ivf(0).unwrap().is_trained());
     for ro in round_trip(&index, "untrained") {
         assert_rank_identical(&ro, &index, &query, "below the training threshold");
+    }
+}
+
+/// A reader checksums a generation's payloads before it swaps onto it: one
+/// flipped payload byte in the newer generation ticks
+/// `artifact.open_errors`, and the reader keeps serving the old one.
+#[test]
+fn reader_refuses_a_generation_whose_payload_fails_verify() {
+    let hidden = 6;
+    let dir = temp_dir("verify");
+    let gen1 =
+        ShardedIndex::from_rows(&synth_matrix(30, hidden, 3), hidden, IndexConfig::default());
+    let gen2 =
+        ShardedIndex::from_rows(&synth_matrix(50, hidden, 4), hidden, IndexConfig::default());
+    let query = synth_matrix(1, hidden, 5);
+    publish_index_artifact(&gen1, &dir, 1).unwrap();
+    let registry = MetricsRegistry::new();
+    let reader = ArtifactReader::with_metrics(ArtifactConfig::new(&dir), Some(&registry)).unwrap();
+
+    let path = publish_index_artifact(&gen2, &dir, 2).unwrap();
+    let mut bytes = std::fs::read(&path).unwrap();
+    let (_, sections) = gbm_artifact::ArtifactView::parse(&bytes)
+        .unwrap()
+        .into_parts();
+    bytes[sections[1].offset + 3] ^= 0x01;
+    std::fs::write(&path, &bytes).unwrap();
+    ReadOnlyIndex::open(&path, true).expect("the lazy open does not read payloads");
+
+    assert!(
+        reader.poll().is_err(),
+        "a payload that fails verify is refused"
+    );
+    assert_eq!(reader.generation(), 1);
+    assert_eq!(reader.current().query(&query, 5), gen1.query(&query, 5));
+    let snap = registry.snapshot();
+    assert_eq!(snap.counter(gbm_obs::names::ARTIFACT_OPEN_ERRORS), Some(1));
+    assert_eq!(snap.counter(gbm_obs::names::ARTIFACT_REMAPS), Some(0));
+    assert!(ArtifactReader::open(ArtifactConfig::new(&dir)).is_err());
+}
+
+/// The path `checkpoint` returns is an ordinary generation: a reader maps
+/// it with `ReadOnlyIndex::open` and answers exactly like the owned index
+/// `recover` rebuilds from the same file — after churn, at the int8 tier,
+/// with the tokenizer and model sections riding along.
+#[test]
+fn checkpoint_path_opens_mapped_and_serves_like_recover() {
+    let hidden = 8;
+    let rows = synth_matrix(90, hidden, 17);
+    let icfg = IndexConfig {
+        num_shards: 3,
+        precision: ScanPrecision::Int8 { widen: 2 },
+        ..Default::default()
+    };
+    let mut index = ShardedIndex::from_rows(&rows, hidden, icfg);
+    for id in (0..90).step_by(4) {
+        index.remove(id);
+    }
+    let tok = gbm_tokenizer::Tokenizer::train(
+        ["add i64 %1 %2", "ret i64 %1"].into_iter(),
+        gbm_tokenizer::TokenizerConfig::default(),
+    );
+    let storage: Arc<dyn Storage> = Arc::new(FileStorage::new());
+    let dcfg = DurabilityConfig::new(temp_dir("checkpoint"));
+    let mut wal = Wal::create(Arc::clone(&storage), dcfg.dir.join(WAL_FILE), false, 8).unwrap();
+    let path = checkpoint(
+        Arc::clone(&storage),
+        &dcfg,
+        &index,
+        Some(&tok),
+        None,
+        &mut wal,
+    )
+    .unwrap();
+    let rec = recover(storage, &dcfg, IndexConfig::default()).unwrap();
+    assert_eq!(rec.snapshot_seq, 7);
+    assert!(rec.tokenizer.is_some());
+    let reader = ArtifactReader::open(ArtifactConfig::new(&dcfg.dir)).expect("CURRENT swung");
+    assert_eq!(reader.generation(), 7);
+    for ro in [
+        ReadOnlyIndex::open(&path, true).unwrap(),
+        ReadOnlyIndex::open(&path, false).unwrap(),
+    ] {
+        ro.verify().unwrap();
+        assert_eq!(ro.config().precision, rec.index.config().precision);
+        for qi in [1usize, 40, 89] {
+            let query = &rows[qi * hidden..(qi + 1) * hidden];
+            for k in [1usize, 10, 90] {
+                assert_eq!(
+                    ro.query(query, k),
+                    rec.index.query(query, k),
+                    "q={qi} k={k}"
+                );
+            }
+        }
+        assert_rank_identical(&ro, &rec.index, &rows[..hidden], "checkpoint");
     }
 }

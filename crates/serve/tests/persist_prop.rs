@@ -1,16 +1,19 @@
-//! Property tests for the snapshot round trip: an arbitrary index imaged
-//! through the *full byte-level pipeline* — `snapshot_index` →
-//! `encode_snapshot` → `decode_snapshot` → `restore_index` — comes back
-//! bit-identical (ids, rows, row order, int8 codes and scales) and
-//! rank-identical (ids, scores, tie order) for every query, across shard
-//! counts and scan precisions, including empty shards, an entirely empty
-//! index, and `k` far beyond the pool size.
+//! Property tests for the checkpoint round trip: an arbitrary index imaged
+//! through the *full byte-level pipeline* — `checkpoint` encodes a v2
+//! artifact generation and writes it through the injected storage,
+//! `recover` reads the bytes back, verifies every checksum and rebuilds
+//! the owned index — comes back bit-identical (ids, rows, row order, int8
+//! codes and scales) and rank-identical (ids, scores, tie order) for every
+//! query, across shard counts and scan precisions, including empty shards,
+//! an entirely empty index, and `k` far beyond the pool size.
+
+use std::sync::Arc;
 
 use proptest::prelude::*;
 
-use gbm_serve::persist::{restore_index, snapshot_index};
+use gbm_serve::{checkpoint, recover, DurabilityConfig};
 use gbm_serve::{GraphId, IndexConfig, ScanPrecision, ShardedIndex};
-use gbm_store::{decode_snapshot, encode_snapshot};
+use gbm_store::{MemStorage, Storage, Wal, WAL_FILE};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -57,11 +60,16 @@ proptest! {
             index.remove(id as GraphId);
         }
 
-        let data = snapshot_index(&index, 42, None, None);
-        let bytes = encode_snapshot(&data);
-        let decoded = decode_snapshot(&bytes).expect("own bytes decode");
-        prop_assert_eq!(decoded.last_seq, 42);
-        let restored = restore_index(&decoded).expect("own snapshot restores");
+        let storage: Arc<dyn Storage> = Arc::new(MemStorage::new());
+        let dcfg = DurabilityConfig::new("/d");
+        let mut wal = Wal::create(Arc::clone(&storage), dcfg.dir.join(WAL_FILE), false, 43)
+            .expect("in-memory WAL");
+        checkpoint(Arc::clone(&storage), &dcfg, &index, None, None, &mut wal)
+            .expect("own generation writes");
+        let rec = recover(storage, &dcfg, IndexConfig::default()).expect("own generation recovers");
+        prop_assert_eq!(rec.snapshot_seq, 42);
+        prop_assert_eq!(rec.replayed_ops, 0);
+        let restored = rec.index;
 
         // bit-identical storage, including row order (the ranking
         // tie-break) and the quantized mirror where one exists

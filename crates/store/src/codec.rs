@@ -1,5 +1,5 @@
-//! Little-endian byte (de)serialization shared by the snapshot and WAL
-//! formats. The reader is bounds-checked end to end: running off the end of
+//! Little-endian byte (de)serialization shared by the WAL and the artifact
+//! format. The reader is bounds-checked end to end: running off the end of
 //! a buffer is a typed [`StoreError::Truncated`], never a panic — corrupt
 //! bytes must fail loudly *and gracefully*.
 
@@ -61,6 +61,12 @@ impl Writer {
 
     pub fn bytes(&mut self, v: &[u8]) {
         self.buf.extend_from_slice(v);
+    }
+
+    pub fn u32_slice(&mut self, v: &[u32]) {
+        for &x in v {
+            self.u32(x);
+        }
     }
 
     pub fn u64_slice(&mut self, v: &[u64]) {
@@ -131,10 +137,6 @@ impl<'a> Reader<'a> {
         Ok(u64::from_le_bytes(self.take(8, what)?.try_into().unwrap()))
     }
 
-    pub fn f32(&mut self, what: &'static str) -> Result<f32, StoreError> {
-        Ok(f32::from_le_bytes(self.take(4, what)?.try_into().unwrap()))
-    }
-
     pub fn u64_vec(&mut self, n: usize, what: &'static str) -> Result<Vec<u64>, StoreError> {
         let raw = self.take(
             n.checked_mul(8).ok_or(StoreError::Truncated { what })?,
@@ -157,10 +159,6 @@ impl<'a> Reader<'a> {
             .collect())
     }
 
-    pub fn i8_vec(&mut self, n: usize, what: &'static str) -> Result<Vec<i8>, StoreError> {
-        Ok(self.take(n, what)?.iter().map(|&b| b as i8).collect())
-    }
-
     /// A string written by [`Writer::str`].
     pub fn str(&mut self, what: &'static str) -> Result<String, StoreError> {
         let n = self.u32(what)? as usize;
@@ -181,7 +179,7 @@ mod tests {
         w.u8(7);
         w.u32(0xDEAD_BEEF);
         w.u64(u64::MAX - 3);
-        w.f32(-1.5);
+        w.u32_slice(&[5, 6]);
         w.u64_slice(&[1, 2, 3]);
         w.f32_slice(&[0.25, -0.0]);
         w.i8_slice(&[-128, 0, 127]);
@@ -191,12 +189,13 @@ mod tests {
         assert_eq!(r.u8("a").unwrap(), 7);
         assert_eq!(r.u32("b").unwrap(), 0xDEAD_BEEF);
         assert_eq!(r.u64("c").unwrap(), u64::MAX - 3);
-        assert_eq!(r.f32("d").unwrap(), -1.5);
+        assert_eq!(r.u32("d").unwrap(), 5);
+        assert_eq!(r.u32("d").unwrap(), 6);
         assert_eq!(r.u64_vec(3, "e").unwrap(), vec![1, 2, 3]);
         let f = r.f32_vec(2, "f").unwrap();
         assert_eq!(f[0], 0.25);
         assert!(f[1] == 0.0 && f[1].is_sign_negative(), "-0.0 is bit-exact");
-        assert_eq!(r.i8_vec(3, "g").unwrap(), vec![-128, 0, 127]);
+        assert_eq!(r.bytes(3, "g").unwrap(), &[0x80, 0, 0x7F]);
         assert_eq!(r.str("h").unwrap(), "snapshot §");
         assert_eq!(r.remaining(), 0);
     }

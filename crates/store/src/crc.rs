@@ -1,5 +1,5 @@
 //! crc32 (IEEE 802.3, the zlib/PNG polynomial), table-driven. Every
-//! snapshot section and WAL record carries one, so a flipped bit anywhere
+//! artifact section and WAL record carries one, so a flipped bit anywhere
 //! in a persisted artifact surfaces as a typed checksum error at load
 //! instead of a perturbed ranking at serve time.
 

@@ -11,10 +11,6 @@ pub enum StoreError {
     /// The underlying storage failed (disk full, permission, injected
     /// fault, ...).
     Io(std::io::Error),
-    /// The file does not start with the snapshot magic — not a snapshot.
-    BadMagic { found: [u8; 8] },
-    /// A snapshot written by a format version this build cannot read.
-    UnsupportedVersion { found: u32 },
     /// Fewer bytes than the structure requires (a truncated section or
     /// header — distinct from a WAL torn *tail*, which is recoverable and
     /// reported via [`WalReplay::torn_bytes`](crate::WalReplay)).
@@ -26,8 +22,8 @@ pub enum StoreError {
     /// is not `ids × hidden`).
     Malformed { what: String },
     /// WAL sequence numbers are not contiguous — operations are missing
-    /// between a snapshot and its log (e.g. the newest snapshot was lost
-    /// after the WAL had been compacted past an older one).
+    /// between a checkpoint and its log (e.g. the newest checkpoint was
+    /// lost after the WAL had been compacted past an older one).
     SeqGap { expected: u64, found: u64 },
 }
 
@@ -35,12 +31,6 @@ impl fmt::Display for StoreError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             StoreError::Io(e) => write!(f, "storage I/O error: {e}"),
-            StoreError::BadMagic { found } => {
-                write!(f, "not a snapshot file (magic {found:02x?})")
-            }
-            StoreError::UnsupportedVersion { found } => {
-                write!(f, "unsupported snapshot format version {found}")
-            }
             StoreError::Truncated { what } => write!(f, "truncated data: {what}"),
             StoreError::Checksum { what } => write!(f, "checksum mismatch: {what}"),
             StoreError::Malformed { what } => write!(f, "malformed data: {what}"),
@@ -75,9 +65,7 @@ impl StoreError {
     pub fn is_corruption(&self) -> bool {
         matches!(
             self,
-            StoreError::BadMagic { .. }
-                | StoreError::UnsupportedVersion { .. }
-                | StoreError::Truncated { .. }
+            StoreError::Truncated { .. }
                 | StoreError::Checksum { .. }
                 | StoreError::Malformed { .. }
                 | StoreError::SeqGap { .. }

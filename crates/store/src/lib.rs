@@ -1,13 +1,13 @@
 //! # gbm-store
 //!
-//! The crash-safe persistence layer under the serving stack: everything a
+//! The crash-safe persistence layer under the serving stack: the pieces a
 //! [`ShardedIndex`](../gbm_serve/index/struct.ShardedIndex.html) needs to
 //! survive a process death and come back serving the *exact same rankings*.
-//! The crate is deliberately dependency-free — it speaks bytes and plain
-//! data structs, and `gbm-serve`'s `persist` module owns the conversion to
-//! and from live index/model/tokenizer types — so the on-disk format can be
-//! read by any process (a replica, a bench, a recovery tool) without
-//! linking the model stack.
+//! The crate is deliberately dependency-free — it speaks bytes, and
+//! `gbm-serve`'s `persist` module owns the conversion to and from live
+//! index/model/tokenizer types. The index image itself is the v2 artifact
+//! (`gbm-artifact`, which builds on this crate's codec, crc and
+//! [`Storage`]); this crate holds what every durable file shares.
 //!
 //! Three pieces:
 //!
@@ -17,43 +17,38 @@
 //!   either to inject deterministic failures (clean append failures, short
 //!   writes that tear a WAL tail, torn atomic writes, bit flips on read)
 //!   so every recovery path is exercised by tests, not hoped about.
-//! * [`SnapshotData`] + [`encode_snapshot`]/[`decode_snapshot`] — a
-//!   versioned, sectioned binary snapshot of the sharded index (per-shard
-//!   id maps + f32 row matrices + optional int8 code mirrors and scales,
-//!   plus optional tokenizer vocabulary and model-spec sections). Every
-//!   section carries its own crc32; snapshots are written via
-//!   [`Storage::write_atomic`] (temp file + rename), so a snapshot file is
-//!   either complete and verifiable or not there at all.
+//!   [`Storage::write_atomic`] is the workspace's one atomic-replace
+//!   implementation: checkpoints and published artifacts both land
+//!   through it.
+//! * [`codec`] + [`crc32`] — the bounds-checked little-endian byte codec
+//!   and checksum the WAL and the artifact format are written in.
 //! * [`Wal`] + [`read_wal`] — an append-only operation log of
 //!   length-prefixed, crc-checksummed, sequence-numbered records
 //!   ([`WalOp::Insert`] carries the embedding row, so replay needs no
 //!   model). A torn tail — the bytes a crash mid-append leaves behind — is
 //!   detected and dropped (reported, not silently swallowed); corruption
 //!   *before* the tail is a typed error, never a wrong replay. Sequence
-//!   numbers are contiguous, so a snapshot taken at `last_seq = S` makes
-//!   replay resumable (`seq > S`) and any gap between a snapshot and its
+//!   numbers are contiguous, so a checkpoint taken at `last_seq = S` makes
+//!   replay resumable (`seq > S`) and any gap between a checkpoint and its
 //!   log is detected instead of served.
 //!
 //! Recovery (orchestrated by `gbm_serve::persist::recover`) is: load the
-//! newest snapshot that verifies, replay the WAL records past its
-//! `last_seq`, stop at the torn tail. The contract, enforced by
+//! newest checkpoint generation that verifies, replay the WAL records past
+//! its `last_seq`, stop at the torn tail. The contract, enforced by
 //! fault-injection tests here and equivalence tests in `gbm-serve`: the
 //! recovered index is rank-identical to a never-crashed replay of the same
-//! durable op prefix, or recovery fails with a typed [`StoreError`] —
-//! never a silent wrong answer.
+//! durable op prefix, or recovery fails with a typed error — never a
+//! silent wrong answer.
+
+#![forbid(unsafe_code)]
 
 pub mod codec;
 pub mod crc;
 pub mod error;
-pub mod snapshot;
 pub mod storage;
 pub mod wal;
 
 pub use crc::crc32;
 pub use error::StoreError;
-pub use snapshot::{
-    decode_snapshot, encode_snapshot, load_newest_snapshot, parse_snapshot_seq, save_snapshot,
-    snapshot_file_name, ModelData, PrecisionTag, QuantData, ShardData, SnapshotData, TokenizerData,
-};
 pub use storage::{FaultPlan, FaultStorage, FileStorage, MemStorage, Storage};
 pub use wal::{read_wal, Wal, WalOp, WalReplay, WalState, WAL_FILE};

@@ -76,7 +76,13 @@ impl Storage for FileStorage {
             f.write_all(bytes)?;
             f.sync_all()?;
         }
-        std::fs::rename(&tmp, path)
+        std::fs::rename(&tmp, path)?;
+        // best-effort directory fsync so the rename itself is durable
+        #[cfg(unix)]
+        if let Ok(d) = std::fs::File::open(dir) {
+            let _ = d.sync_all();
+        }
+        Ok(())
     }
 
     fn append(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
@@ -439,31 +445,31 @@ mod tests {
         assert_eq!(inner.read(p).unwrap(), b"aaaa");
 
         // torn atomic write: the Nth write persists a prefix
-        let snap = Path::new("/f/snap.gbms");
+        let art = Path::new("/f/artifact.gbm");
         faulty.set_plan(FaultPlan {
             torn_write_atomic: Some((2, 3)),
             ..Default::default()
         });
-        faulty.write_atomic(snap, b"first").unwrap();
-        assert_eq!(inner.read(snap).unwrap(), b"first");
-        faulty.write_atomic(snap, b"second").unwrap();
-        assert_eq!(inner.read(snap).unwrap(), b"sec", "torn to 3 bytes");
+        faulty.write_atomic(art, b"first").unwrap();
+        assert_eq!(inner.read(art).unwrap(), b"first");
+        faulty.write_atomic(art, b"second").unwrap();
+        assert_eq!(inner.read(art).unwrap(), b"sec", "torn to 3 bytes");
 
         // failed atomic write: nothing becomes visible
         faulty.set_plan(FaultPlan {
             fail_write_atomic: true,
             ..Default::default()
         });
-        assert!(faulty.write_atomic(snap, b"third").is_err());
-        assert_eq!(inner.read(snap).unwrap(), b"sec");
+        assert!(faulty.write_atomic(art, b"third").is_err());
+        assert_eq!(inner.read(art).unwrap(), b"sec");
 
         // bit flip on read: storage is intact, the *read* is corrupt
         faulty.set_plan(FaultPlan {
-            flip_on_read: Some(("snap".into(), 0, 0x01)),
+            flip_on_read: Some(("artifact".into(), 0, 0x01)),
             ..Default::default()
         });
-        assert_eq!(faulty.read(snap).unwrap(), b"rec");
-        assert_eq!(inner.read(snap).unwrap(), b"sec", "media untouched");
+        assert_eq!(faulty.read(art).unwrap(), b"rec");
+        assert_eq!(inner.read(art).unwrap(), b"sec", "media untouched");
         assert_eq!(faulty.read(p).unwrap(), b"aaaa", "other paths unflipped");
 
         // sync failures

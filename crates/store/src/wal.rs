@@ -1,7 +1,7 @@
 //! The append-only operation log. Every mutation the server applies to
 //! the index is first written here as a length-prefixed, crc-checksummed,
 //! sequence-numbered record; recovery replays the records past the newest
-//! snapshot's `last_seq`.
+//! checkpoint's `last_seq`.
 //!
 //! Torn-tail semantics: a crash mid-append leaves a prefix of the final
 //! record on disk. [`read_wal`] detects that — a record extending past
@@ -226,7 +226,7 @@ pub struct Wal {
 
 impl Wal {
     /// Starts a fresh, empty log at `path` (atomically truncating any
-    /// previous one — done right after a snapshot compacts the log).
+    /// previous one — done right after a checkpoint compacts the log).
     pub fn create(
         storage: Arc<dyn Storage>,
         path: PathBuf,
@@ -253,8 +253,8 @@ impl Wal {
     /// and verifies it, truncates any torn tail, and positions the writer
     /// after the last valid record. Returns the replay so recovery does
     /// not read the log twice. `min_next_seq` floors the next sequence
-    /// number (pass `snapshot.last_seq + 1` so a log compacted after the
-    /// snapshot continues the numbering).
+    /// number (pass `checkpoint.last_seq + 1` so a log compacted after the
+    /// checkpoint continues the numbering).
     pub fn resume(
         storage: Arc<dyn Storage>,
         path: PathBuf,

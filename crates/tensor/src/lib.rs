@@ -45,6 +45,8 @@
 //! assert!((w.value().data()[0] - 2.0).abs() < 1e-3);
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod centdist;
 mod graph;
 mod init;

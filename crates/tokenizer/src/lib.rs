@@ -26,6 +26,8 @@
 //! assert_eq!(ids[0], Tokenizer::VAR);
 //! ```
 
+#![forbid(unsafe_code)]
+
 use std::collections::HashMap;
 
 use gbm_progml::{NodeTextMode, ProgramGraph};

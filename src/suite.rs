@@ -4,4 +4,6 @@
 //! `tests/` that span every member crate. The real public API lives in the
 //! [`graphbinmatch`] facade crate; see the README for a tour.
 
+#![forbid(unsafe_code)]
+
 pub use graphbinmatch as api;
